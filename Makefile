@@ -9,7 +9,6 @@ FUZZ_TARGETS = \
 	internal/sfc:FuzzPermutationBijection \
 	internal/sfc:FuzzVectorPermutationRoundTrip \
 	internal/cfloat:FuzzSplitMergeRoundTrip \
-	internal/cfloat:FuzzComplexMVMViaFourReal \
 	internal/precision:FuzzF16RoundTrip \
 	internal/precision:FuzzBF16RoundTrip \
 	internal/tlrio:FuzzRead \
@@ -37,9 +36,9 @@ race:
 	$(GO) test -race -shuffle=on ./...
 
 # concurrency stress tests (TestStress*, skipped under -short): sharded
-# scheduler with mid-flight revocation, concurrent MDC fan-out, batched
-# TLR-MVM, and the mddserve load tests at the repo root — run repeatedly
-# under the race detector
+# scheduler with mid-flight revocation, concurrent MDC fan-out,
+# concurrent store-backed TLR-MVM, and the mddserve load tests at the
+# repo root — run repeatedly under the race detector
 race-stress:
 	$(GO) test -race -count=2 -run '^TestStress' ./ ./internal/batch/ ./internal/mdc/ ./internal/opstore/ ./internal/tlr/
 

@@ -28,9 +28,11 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"math/rand"
 	"os"
 	"path/filepath"
 
+	"repro/internal/cfloat"
 	"repro/internal/core"
 	"repro/internal/estimator"
 	"repro/internal/fault"
@@ -42,7 +44,6 @@ import (
 	"repro/internal/render"
 	"repro/internal/seismic"
 	"repro/internal/sfc"
-	"repro/internal/testkit"
 	"repro/internal/tlr"
 	"repro/internal/tlrio"
 )
@@ -234,7 +235,7 @@ func faultDemo(iters, shards int, schedule string, ckptInterval int) {
 	fmt.Printf("solve completed: %d iters, %d restarts, %d iterations salvaged from checkpoints\n",
 		out.Result.Iters, out.Restarts, out.SalvagedIters)
 	fmt.Printf("shards alive after run: %d of %d\n", op.Runner.Alive(), shards)
-	fmt.Printf("relative error vs fault-free solve: %.3g\n", testkit.RelErr(out.Result.X, ref.LSQR.X))
+	fmt.Printf("relative error vs fault-free solve: %.3g\n", relErr(out.Result.X, ref.LSQR.X))
 	fmt.Printf("NMSE vs true reflectivity: faulted %.4f | fault-free %.4f\n",
 		pipe.Problem.NMSEAgainstTruth(out.Result.X, vs), pipe.Problem.NMSEAgainstTruth(ref.LSQR.X, vs))
 	fmt.Printf("recovery counters: retries %d | failovers %d | deaths %d | injected %d\n",
@@ -309,21 +310,24 @@ func storeDemo(storePath string, budget int64) {
 
 	obs.Enable()
 	obs.Reset()
-	rng := testkit.NewRNG(42)
+	rng := rand.New(rand.NewSource(42))
 	var worst float64
 	for f := range k.Mats {
 		ooc, err := st.Matrix(f)
 		if err != nil {
 			log.Fatal(err)
 		}
-		x := testkit.Vec(rng, ooc.N)
+		x := make([]complex64, ooc.N)
+		for i := range x {
+			x[i] = complex(float32(rng.NormFloat64()), float32(rng.NormFloat64()))
+		}
 		y := make([]complex64, ooc.M)
 		ooc.MulVec(x, y)
 		// measured error of the store-backed (fp16-demoted) product
 		// against the dense reference slice
 		want := make([]complex64, ooc.M)
 		hds.K[base+f].MulVec(x, want)
-		if e := testkit.RelErr(y, want); e > worst {
+		if e := relErr(y, want); e > worst {
 			worst = e
 		}
 	}
@@ -417,4 +421,17 @@ func main() {
 	if *fstore {
 		storeDemo(*storePath, *storeBudget)
 	}
+}
+
+// relErr returns ‖got − want‖₂ / ‖want‖₂ (the absolute error when want
+// is zero).
+func relErr(got, want []complex64) float64 {
+	d := make([]complex64, len(got))
+	for i := range d {
+		d[i] = got[i] - want[i]
+	}
+	if nw := cfloat.Nrm2(want); nw != 0 {
+		return cfloat.Nrm2(d) / nw
+	}
+	return cfloat.Nrm2(d)
 }

@@ -1,8 +1,8 @@
 // Cross-module differential tests: the testkit oracle driven end to end
 // over the paper's pipeline — synthesize, Hilbert-reorder, compress,
-// then require every execution path of the stack (dense, TLR sequential/
-// parallel/batched, MDC operator, wsesim PE simulation, reduced-precision
-// storage) to agree within precision-derived budgets, and the solvers to
+// then require every execution path of the stack (dense, the TLR-MVM
+// kernel in memory and store-backed, MDC operator, wsesim PE simulation,
+// reduced-precision storage) to agree within precision-derived budgets, and the solvers to
 // recover the same answer through compressed and dense kernels.
 package repro
 

@@ -121,7 +121,7 @@ func GoroutineEscapes(m *Module) map[*types.Func]*EscapeInfo {
 			}
 			// A site followed by a parent-level WaitGroup.Wait is joined
 			// before the function returns: its captures never leak to
-			// callers (the fan-out/join idiom of batch.Run and friends).
+			// callers (the fan-out/join idiom of FreqOperator.run and friends).
 			fact := &spawnFact{Params: make([]bool, len(params))}
 			any := false
 			for _, s := range esc.Sites {

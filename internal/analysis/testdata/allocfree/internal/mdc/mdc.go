@@ -2,7 +2,7 @@
 // internal/mdc): seeded kernels are checked even without their marker —
 // and the missing marker itself is reported — while a seed whose
 // function no longer exists flags the registry as stale.
-package mdc // want `hot-path registry names internal/mdc\.TLRKernel\.Apply but no such function exists` `hot-path registry names internal/mdc\.TLRKernel\.ApplyNormal but no such function exists`
+package mdc // want `hot-path registry names internal/mdc\.TLRKernel\.Apply but no such function exists` `hot-path registry names internal/mdc\.TLRKernel\.ApplyChecked but no such function exists`
 
 type DenseKernel struct {
 	data []complex64

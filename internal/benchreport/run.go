@@ -147,46 +147,12 @@ func Run(label string, p Profile) (*Report, error) {
 	}
 	y := make([]complex64, tm.M)
 
-	// --- TLR-MVM: sequential, parallel, batched ---
+	// --- TLR-MVM: the one kernel ---
 	flops, bytes := float64(tm.FlopCount()), float64(tm.ByteCount())
 	seqNs := timeOp(p.MVMReps, func() { tm.MulVec(x, y) })
 	add("tlr.mvm.seq.ns_op", seqNs, "ns/op", Lower, false)
 	add("tlr.mvm.seq.gflops", flops/seqNs, "GFlop/s", Higher, false)
 	add("tlr.mvm.seq.gbps", bytes/seqNs, "GB/s", Higher, false)
-
-	parNs := timeOp(p.MVMReps, func() { tm.MulVecParallel(x, y, 0) })
-	add("tlr.mvm.par.ns_op", parNs, "ns/op", Lower, false)
-	add("tlr.mvm.par.gflops", flops/parNs, "GFlop/s", Higher, false)
-
-	var batchErr error
-	batNs := timeOp(p.MVMReps, func() {
-		if err := tm.MulVecBatched(x, y, 0); err != nil {
-			batchErr = err
-		}
-	})
-	if batchErr != nil {
-		return nil, fmt.Errorf("benchreport: batched MVM: %w", batchErr)
-	}
-	add("tlr.mvm.batched.ns_op", batNs, "ns/op", Lower, false)
-	add("tlr.mvm.batched.gflops", flops/batNs, "GFlop/s", Higher, false)
-
-	// --- TLR-MVM split-plane (SoA) paths and the fused normal pass ---
-	soaNs := timeOp(p.MVMReps, func() { tm.MulVecSoA(x, y) })
-	add("tlr.mvm.soa.ns_op", soaNs, "ns/op", Lower, false)
-	add("tlr.mvm.soa.gflops", flops/soaNs, "GFlop/s", Higher, false)
-	add("tlr.mvm.soa.gbps", bytes/soaNs, "GB/s", Higher, false)
-
-	yn := make([]complex64, tm.N)
-	normNs := timeOp(p.MVMReps, func() { tm.MulVecNormal(x, yn) })
-	add("tlr.mvm.normal.ns_op", normNs, "ns/op", Lower, false)
-	// the fused AᴴA pass performs the forward and adjoint flop counts
-	add("tlr.mvm.normal.gflops", 2*flops/normNs, "GFlop/s", Higher, false)
-
-	// Layout/blocking facts: pure functions of the deterministic dataset,
-	// the compression options, and the roofline cache parameters, so they
-	// gate — a drift means the layout or the blocking policy changed.
-	add("tlr.mvm.soa.panel_cols", float64(tm.PanelCols()), "cols", Higher, true)
-	add("tlr.mvm.soa.bytes", float64(tm.SoABytes()), "B", Lower, true)
 
 	// --- MDC apply: the per-frequency operator over the TLR kernel ---
 	dk, err := mdc.NewDenseKernel(hds.K)

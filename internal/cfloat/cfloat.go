@@ -1,7 +1,8 @@
 // Package cfloat provides single-precision complex vector and matrix
 // primitives used throughout the TLR-MVM reproduction: BLAS-like level-1
-// and level-2 routines over complex64, plus the four-real-MVM decomposition
-// of a complex MVM that the paper's Cerebras kernel uses (§6.6).
+// and level-2 routines over complex64, the real GEMV that the paper's
+// Cerebras kernel decomposes every complex MVM into (§6.6), and the
+// split-plane kernels of soa.go.
 //
 // All routines are allocation-free on their hot paths and accumulate in
 // float64 where it measurably improves accuracy (dot products, norms).
@@ -342,40 +343,4 @@ func RealGemv(m, n int, a []float32, lda int, x []float32, y []float32) {
 			y[i] += v * xj
 		}
 	}
-}
-
-// ComplexMVMViaFourReal computes y = A x for a complex m×n matrix by
-// running four real MVMs on the split real/imaginary parts, exactly as the
-// Cerebras kernel does because batched complex MVMs are unsupported:
-//
-//	Re(y) = Ar*xr − Ai*xi
-//	Im(y) = Ar*xi + Ai*xr
-//
-// ar and ai are the real and imaginary parts of A, column-major m×n.
-func ComplexMVMViaFourReal(m, n int, ar, ai []float32, lda int, x []complex64, y []complex64) {
-	ComplexMVMViaFourRealBuf(m, n, ar, ai, lda, x, y,
-		make([]float32, n), make([]float32, n), make([]float32, m), make([]float32, m))
-}
-
-// ComplexMVMViaFourRealBuf is ComplexMVMViaFourReal with caller-provided
-// split-plane scratch: xr and xi must have length >= n, yr and yi length
-// >= m. The scratch may be dirty — it is (re)initialized here — so hot
-// paths can recycle buffers across calls without allocating.
-func ComplexMVMViaFourRealBuf(m, n int, ar, ai []float32, lda int, x []complex64, y []complex64, xr, xi, yr, yi []float32) {
-	xr, xi = xr[:n], xi[:n]
-	yr, yi = yr[:m], yi[:m]
-	SplitReIm(x[:n], xr, xi)
-	for i := 0; i < m; i++ {
-		yr[i] = 0
-		yi[i] = 0
-	}
-	RealGemv(m, n, ar, lda, xr, yr) // Ar*xr
-	RealGemv(m, n, ai, lda, xi, yi) // Ai*xi (into yi temporarily)
-	for i := 0; i < m; i++ {
-		yr[i] -= yi[i]
-		yi[i] = 0
-	}
-	RealGemv(m, n, ar, lda, xi, yi) // Ar*xi
-	RealGemv(m, n, ai, lda, xr, yi) // + Ai*xr
-	MergeReIm(yr, yi, y[:m])
 }

@@ -284,27 +284,6 @@ func TestSplitMergeRoundTrip(t *testing.T) {
 	}
 }
 
-func TestComplexMVMViaFourRealMatchesGemv(t *testing.T) {
-	rng := testkit.NewRNG(11)
-	for _, dims := range [][2]int{{1, 1}, {7, 3}, {70, 25}, {32, 64}} {
-		m, n := dims[0], dims[1]
-		a := testkit.Vec(rng, m*n)
-		ar := make([]float32, m*n)
-		ai := make([]float32, m*n)
-		cfloat.SplitReIm(a, ar, ai)
-		x := testkit.Vec(rng, n)
-		y1 := make([]complex64, m)
-		cfloat.Gemv(cfloat.NoTrans, m, n, 1, a, m, x, 0, y1)
-		y2 := make([]complex64, m)
-		cfloat.ComplexMVMViaFourReal(m, n, ar, ai, m, x, y2)
-		for i := range y1 {
-			if cAbs(y1[i]-y2[i]) > 1e-3*(1+cAbs(y1[i])) {
-				t.Fatalf("%dx%d four-real mismatch at %d: %v vs %v", m, n, i, y1[i], y2[i])
-			}
-		}
-	}
-}
-
 func TestTransString(t *testing.T) {
 	if cfloat.NoTrans.String() != "N" || cfloat.Transpose.String() != "T" || cfloat.ConjTrans.String() != "C" {
 		t.Error("cfloat.Trans.String broken")
@@ -378,22 +357,6 @@ func BenchmarkGemvNoTrans256(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		cfloat.Gemv(cfloat.NoTrans, m, n, 1, a, m, x, 0, y)
-	}
-}
-
-func BenchmarkComplexMVMViaFourReal256(b *testing.B) {
-	rng := testkit.NewRNG(1)
-	m, n := 256, 256
-	a := testkit.Vec(rng, m*n)
-	ar := make([]float32, m*n)
-	ai := make([]float32, m*n)
-	cfloat.SplitReIm(a, ar, ai)
-	x := testkit.Vec(rng, n)
-	y := make([]complex64, m)
-	b.SetBytes(int64(8 * m * n))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cfloat.ComplexMVMViaFourReal(m, n, ar, ai, m, x, y)
 	}
 }
 

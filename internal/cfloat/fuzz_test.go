@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/cfloat"
-	"repro/internal/testkit"
 )
 
 // FuzzSplitMergeRoundTrip: splitting a complex vector into re/im planes
@@ -26,32 +25,6 @@ func FuzzSplitMergeRoundTrip(f *testing.F) {
 				math.Float32bits(imag(back[i])) != math.Float32bits(imag(x[i])) {
 				t.Fatalf("element %d: %v → %v", i, x[i], back[i])
 			}
-		}
-	})
-}
-
-// FuzzComplexMVMViaFourReal: the four-real-GEMV decomposition (§6.6) must
-// track the direct complex GEMV within float32 summation-order error on
-// arbitrary well-scaled inputs and shapes.
-func FuzzComplexMVMViaFourReal(f *testing.F) {
-	f.Add(int64(1), uint8(1), uint8(1))
-	f.Add(int64(42), uint8(17), uint8(29))
-	f.Fuzz(func(t *testing.T, seed int64, mRaw, nRaw uint8) {
-		m := int(mRaw%48) + 1
-		n := int(nRaw%48) + 1
-		rng := testkit.NewRNG(seed)
-		a := testkit.Vec(rng, m*n)
-		x := testkit.Vec(rng, n)
-		ar := make([]float32, m*n)
-		ai := make([]float32, m*n)
-		cfloat.SplitReIm(a, ar, ai)
-		want := make([]complex64, m)
-		got := make([]complex64, m)
-		cfloat.Gemv(cfloat.NoTrans, m, n, 1, a, m, x, 0, want)
-		cfloat.ComplexMVMViaFourReal(m, n, ar, ai, m, x, got)
-		if e := testkit.RelErr(got, want); e > testkit.ExecTolerance(n) {
-			t.Fatalf("m=%d n=%d seed=%d: four-real relErr %g > %g",
-				m, n, seed, e, testkit.ExecTolerance(n))
 		}
 	})
 }

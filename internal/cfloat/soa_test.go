@@ -37,6 +37,21 @@ func relErr(got, want []complex64) float64 {
 	return math.Sqrt(num / den)
 }
 
+// soaGemv runs one whole-matrix SoA product with complex endpoints the
+// way the TLR kernel drives the Acc forms: split x once, accumulate into
+// cleared planes, merge into y.
+func soaGemv(conj bool, m, n int, ar, ai []float32, x, y []complex64) {
+	xr, xi := make([]float32, len(x)), make([]float32, len(x))
+	yr, yi := make([]float32, len(y)), make([]float32, len(y))
+	SplitReIm(x, xr, xi)
+	if conj {
+		GemvConjSoAAcc(m, n, ar, ai, m, xr, xi, yr, yi)
+	} else {
+		GemvSoAAcc(m, n, ar, ai, m, xr, xi, yr, yi)
+	}
+	MergeReIm(yr, yi, y)
+}
+
 // TestGemvSoAMatchesGemv checks the SoA forward kernel against the
 // complex reference across shapes that hit the unrolled quad loop, the
 // scalar tail, and both at once.
@@ -51,9 +66,7 @@ func TestGemvSoAMatchesGemv(t *testing.T) {
 		want := make([]complex64, sz.m)
 		Gemv(NoTrans, sz.m, sz.n, 1, a, sz.m, x, 0, want)
 		got := make([]complex64, sz.m)
-		xr, xi := make([]float32, sz.n), make([]float32, sz.n)
-		yr, yi := make([]float32, sz.m), make([]float32, sz.m)
-		GemvSoA(sz.m, sz.n, ar, ai, sz.m, x, got, xr, xi, yr, yi)
+		soaGemv(false, sz.m, sz.n, ar, ai, x, got)
 		// float32 vs float64 accumulation: allow a few ulps per term
 		if e := relErr(got, want); e > 1e-5*math.Sqrt(float64(sz.n)) {
 			t.Errorf("%dx%d: SoA forward relErr %g", sz.m, sz.n, e)
@@ -73,9 +86,7 @@ func TestGemvConjSoAMatchesGemv(t *testing.T) {
 		want := make([]complex64, sz.n)
 		Gemv(ConjTrans, sz.m, sz.n, 1, a, sz.m, x, 0, want)
 		got := make([]complex64, sz.n)
-		xr, xi := make([]float32, sz.m), make([]float32, sz.m)
-		yr, yi := make([]float32, sz.n), make([]float32, sz.n)
-		GemvConjSoA(sz.m, sz.n, ar, ai, sz.m, x, got, xr, xi, yr, yi)
+		soaGemv(true, sz.m, sz.n, ar, ai, x, got)
 		if e := relErr(got, want); e > 1e-5*math.Sqrt(float64(sz.m)) {
 			t.Errorf("%dx%d: SoA adjoint relErr %g", sz.m, sz.n, e)
 		}
@@ -145,16 +156,17 @@ func TestGemvConjSoAAccAccumulates(t *testing.T) {
 }
 
 // Benchmarks at the stacked-panel shape of the bench profile (tile rows
-// of the full-profile TLR matrix): the SoA kernels against the complex
-// Gemv they replace.
+// of the full-profile TLR matrix): the SoA kernels, on presplit vectors
+// as the TLR kernel runs them, against the complex Gemv they replace.
 func benchOperands(m, n int) (a []complex64, ar, ai []float32, x, y []complex64, xr, xi, yr, yi []float32) {
 	rng := rand.New(rand.NewSource(5))
 	a = randVec(rng, m*n)
 	ar, ai = splitMat(a)
-	x = randVec(rng, n)
-	y = make([]complex64, max(m, n))
 	k := max(m, n)
+	x = randVec(rng, k)
+	y = make([]complex64, k)
 	xr, xi = make([]float32, k), make([]float32, k)
+	SplitReIm(x, xr, xi)
 	yr, yi = make([]float32, k), make([]float32, k)
 	return
 }
@@ -168,31 +180,29 @@ func BenchmarkGemvComplex(b *testing.B) {
 	}
 }
 
-func BenchmarkGemvSoA(b *testing.B) {
+func BenchmarkGemvSoAAcc(b *testing.B) {
 	const m, n = 10, 96
-	_, ar, ai, x, y, xr, xi, yr, yi := benchOperands(m, n)
+	_, ar, ai, _, _, xr, xi, yr, yi := benchOperands(m, n)
 	b.SetBytes(int64(m * n * 8))
 	for i := 0; i < b.N; i++ {
-		GemvSoA(m, n, ar, ai, m, x, y, xr, xi, yr, yi)
+		GemvSoAAcc(m, n, ar, ai, m, xr, xi, yr, yi)
 	}
 }
 
 func BenchmarkGemvConjComplex(b *testing.B) {
 	const m, n = 10, 60
-	a, _, _, _, y, _, _, _, _ := benchOperands(m, n)
-	x := randVec(rand.New(rand.NewSource(6)), m)
+	a, _, _, x, y, _, _, _, _ := benchOperands(m, n)
 	b.SetBytes(int64(m * n * 8))
 	for i := 0; i < b.N; i++ {
 		Gemv(ConjTrans, m, n, 1, a, m, x, 0, y)
 	}
 }
 
-func BenchmarkGemvConjSoA(b *testing.B) {
+func BenchmarkGemvConjSoAAcc(b *testing.B) {
 	const m, n = 10, 60
-	_, ar, ai, _, y, xr, xi, yr, yi := benchOperands(m, n)
-	x := randVec(rand.New(rand.NewSource(6)), m)
+	_, ar, ai, _, _, xr, xi, yr, yi := benchOperands(m, n)
 	b.SetBytes(int64(m * n * 8))
 	for i := 0; i < b.N; i++ {
-		GemvConjSoA(m, n, ar, ai, m, x, y, xr, xi, yr, yi)
+		GemvConjSoAAcc(m, n, ar, ai, m, xr, xi, yr, yi)
 	}
 }

@@ -32,19 +32,6 @@ type Operator interface {
 	ApplyAdjoint(x, y []complex64)
 }
 
-// NormalOperator is an Operator that can additionally apply the
-// normal-equations map in one fused pass. Normal-equation solvers
-// (cgls.SolveNormal) use it to replace the Apply/ApplyAdjoint pair with
-// a single operator sweep per iteration — for the TLR-backed MDC
-// operator that streams every U panel once instead of twice. LSQR
-// itself bidiagonalizes A directly and never forms AᴴA, so this package
-// only declares the interface.
-type NormalOperator interface {
-	Operator
-	// ApplyNormal computes y = AᴴA x (len(x) = len(y) = Cols).
-	ApplyNormal(x, y []complex64)
-}
-
 // Options controls the iteration.
 type Options struct {
 	// MaxIters bounds the iteration count (default 30, matching the

@@ -24,7 +24,6 @@ import (
 var (
 	obsFreqApply   = obs.NewTimer("mdc.freq.apply")
 	obsFreqAdjoint = obs.NewTimer("mdc.freq.adjoint")
-	obsFreqNormal  = obs.NewTimer("mdc.freq.normal")
 	obsTimeApply   = obs.NewTimer("mdc.time.apply")
 	obsTimeAdjoint = obs.NewTimer("mdc.time.adjoint")
 	obsCompressK   = obs.NewTimer("mdc.compress_kernel")
@@ -46,11 +45,8 @@ type Kernel interface {
 }
 
 // NormalKernel is the kernel extension for normal-equation solvers: a
-// kernel that can apply K_fᴴ K_f in one fused pass instead of a forward
-// product followed by an adjoint one. The TLR kernel implements it via
-// the fused tlr.Matrix.MulVecNormal, which streams each stacked U panel
-// once per iteration; kernels without the method fall back to the
-// two-pass composition inside FreqOperator.ApplyNormal.
+// kernel that applies K_fᴴ K_f per frequency. The TLR kernel implements
+// it as its forward product followed by its adjoint one.
 type NormalKernel interface {
 	Kernel
 	// ApplyNormal computes y = K_fᴴ K_f x (len(x) = len(y) = Cols).
@@ -193,15 +189,21 @@ func (k *TLRKernel) Apply(f int, x, y []complex64) { k.Mats[f].MulVec(x, y) }
 // ApplyAdjoint implements Kernel.
 func (k *TLRKernel) ApplyAdjoint(f int, x, y []complex64) { k.Mats[f].MulVecConjTrans(x, y) }
 
-// ApplyNormal implements NormalKernel: the fused K_fᴴ K_f pass of
-// tlr.Matrix.MulVecNormal. Registered hot path: one fused TLR normal
-// product per in-band frequency per normal-equation iteration.
+// ApplyNormal implements NormalKernel: y = K_fᴴ (K_f x), the forward
+// product into a temporary followed by the adjoint.
+func (k *TLRKernel) ApplyNormal(f int, x, y []complex64) {
+	m := k.Mats[f]
+	q := make([]complex64, m.M)
+	m.MulVec(x, q)
+	m.MulVecConjTrans(q, y)
+}
+
+// ApplyChecked implements CheckedKernel: the product FreqOperator runs
+// on every solve. Registered hot path, like Apply.
 //
 //lint:hotpath
-func (k *TLRKernel) ApplyNormal(f int, x, y []complex64) { k.Mats[f].MulVecNormal(x, y) }
-
-// ApplyChecked implements CheckedKernel.
 func (k *TLRKernel) ApplyChecked(f int, x, y []complex64) error {
+	//lint:alloc-ok a pointer in an interface does not allocate, and only an invalid argument reaches the error formatting
 	if err := checkKernelArgs(k, f, x, y, false); err != nil {
 		return err
 	}
@@ -272,62 +274,6 @@ func (op *FreqOperator) ApplyChecked(x, y []complex64) error {
 // ApplyAdjointChecked computes y = Kᴴ x with error propagation.
 func (op *FreqOperator) ApplyAdjointChecked(x, y []complex64) error {
 	return op.run(x, y, true)
-}
-
-// ApplyNormal implements lsqr.NormalOperator. The operator is
-// frequency-block-diagonal, so the normal map factors per frequency:
-// y_f = Scale² K_fᴴ K_f x_f, computed by the kernel's fused pass when it
-// implements NormalKernel (the TLR kernel does) and by the two-pass
-// adjoint∘forward composition otherwise. Both vectors live on the model
-// grid (length Cols).
-func (op *FreqOperator) ApplyNormal(x, y []complex64) {
-	defer obsFreqNormal.Start().End()
-	nf := op.K.NumFreqs()
-	if nf == 0 {
-		return // zero-dimensional operator: nothing to apply
-	}
-	obsFreqCount.Add(int64(nf))
-	n, m := op.K.Cols(), op.K.Rows()
-	if len(x) < nf*n {
-		panic(fmt.Sprintf("mdc: FreqOperator normal input has %d elements, want %d", len(x), nf*n))
-	}
-	if len(y) < nf*n {
-		panic(fmt.Sprintf("mdc: FreqOperator normal output has %d elements, want %d", len(y), nf*n))
-	}
-	scale := complex(op.Scale*op.Scale, 0)
-	if op.Scale == 0 {
-		scale = 1
-	}
-	workers := op.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	nk, fused := op.K.(NormalKernel)
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, workers)
-	for f := 0; f < nf; f++ {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(f int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			xf := x[f*n : (f+1)*n]
-			yf := y[f*n : (f+1)*n]
-			if fused {
-				nk.ApplyNormal(f, xf, yf)
-			} else {
-				q := make([]complex64, m)
-				op.K.Apply(f, xf, q)
-				op.K.ApplyAdjoint(f, q, yf)
-			}
-			if scale != 1 {
-				for i := range yf {
-					yf[i] *= scale
-				}
-			}
-		}(f)
-	}
-	wg.Wait()
 }
 
 func (op *FreqOperator) run(x, y []complex64, adjoint bool) error {

@@ -11,7 +11,7 @@ import "fmt"
 type JobType string
 
 // The three job types: Compress runs TLR compression of one frequency
-// slice and reports the footprint; TLRMVM runs repeated batched TLR
+// slice and reports the footprint; TLRMVM runs repeated TLR
 // matrix-vector products over the compressed slice; MDD runs a full
 // fault-tolerant multi-dimensional-deconvolution inversion for one
 // virtual source.

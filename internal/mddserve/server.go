@@ -577,8 +577,8 @@ func (s *Server) execute(runner *batch.ShardRunner, j *job) (*JobResult, error) 
 	return nil, fmt.Errorf("unknown job type %q", j.spec.Type)
 }
 
-// runTLRMVM drives Reps batched TLR matrix-vector products over the
-// cached compressed slice with a deterministic seeded input.
+// runTLRMVM drives Reps TLR matrix-vector products over the cached
+// compressed slice with a deterministic seeded input.
 func runTLRMVM(j *job, b *built) (*JobResult, error) {
 	tm := b.slice
 	rng := rand.New(rand.NewSource(j.spec.Seed + 1))
@@ -591,9 +591,7 @@ func runTLRMVM(j *job, b *built) (*JobResult, error) {
 		if err := j.ctx.Err(); err != nil {
 			return nil, err
 		}
-		if err := tm.MulVecBatched(x, y, 0); err != nil {
-			return nil, fmt.Errorf("batched MVM: %w", err)
-		}
+		tm.MulVec(x, y)
 	}
 	return &JobResult{YNorm: cfloat.Nrm2(y)}, nil
 }

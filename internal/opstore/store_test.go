@@ -83,13 +83,12 @@ func randVec(rng *rand.Rand, n int) []complex64 {
 	return v
 }
 
-// TestStoreBackedMatchesInMemory holds every product path of a
-// store-backed matrix to its in-memory twin — with a budget small
-// enough to force evictions mid-product, so tiles genuinely stream from
-// the page file. The fp32 store decodes bit-identically, so the AoS
-// paths (identical kernel, identical operand bits, identical order)
-// must agree exactly, and everything is additionally held to the 1e-6
-// acceptance threshold.
+// TestStoreBackedMatchesInMemory holds both products of a store-backed
+// matrix to its in-memory twin — with a budget small enough to force
+// evictions mid-product, so tiles genuinely stream from the page file.
+// The fp32 store decodes bit-identically and the assembled panels are
+// swept exactly like the resident ones, so the products must agree
+// exactly.
 func TestStoreBackedMatchesInMemory(t *testing.T) {
 	st, k := testStore(t, 16<<10, nil)
 	rng := rand.New(rand.NewSource(5))
@@ -122,17 +121,6 @@ func TestStoreBackedMatchesInMemory(t *testing.T) {
 		if e := relErr(gotAdj, wantAdj); e != 0 {
 			t.Errorf("f=%d MulVecConjTrans: rel err %g, want bit-exact", f, e)
 		}
-		if err := ooc.MulVecBatched(x, got, 1); err != nil {
-			t.Fatal(err)
-		}
-		tm.MulVecSoA(x, want)
-		if e := relErr(got, want); e > 1e-6 {
-			t.Errorf("f=%d MulVecBatched vs SoA: rel err %g", f, e)
-		}
-		ooc.MulVecSoA(x, got)
-		if e := relErr(got, want); e != 0 {
-			t.Errorf("f=%d MulVecSoA: rel err %g, want bit-exact", f, e)
-		}
 	}
 	stats := st.Stats()
 	if stats.Misses == 0 || stats.Hits == 0 {
@@ -143,6 +131,52 @@ func TestStoreBackedMatchesInMemory(t *testing.T) {
 	}
 	if stats.ResidentBytes > stats.Budget {
 		t.Fatalf("resident %d over budget %d", stats.ResidentBytes, stats.Budget)
+	}
+}
+
+// TestStoreBackedStaysWithinBudget runs repeated products on
+// store-backed matrices whose cache budget is below their footprint:
+// resident bytes never pass the budget, and every product faults tiles
+// again — proof that no product keeps its own resident copy of the
+// panels — while staying bit-identical to the in-memory products.
+func TestStoreBackedStaysWithinBudget(t *testing.T) {
+	st, k := testStore(t, 16<<10, nil)
+	var footprint int64
+	for _, tm := range k.Mats {
+		footprint += tm.CompressedBytes()
+	}
+	if budget := st.Stats().Budget; budget >= footprint {
+		t.Fatalf("budget %d not below footprint %d", budget, footprint)
+	}
+	rng := rand.New(rand.NewSource(6))
+	for rep := 0; rep < 3; rep++ {
+		for f, tm := range k.Mats {
+			ooc, err := st.Matrix(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			x, xa := randVec(rng, tm.N), randVec(rng, tm.M)
+			want, got := make([]complex64, tm.M), make([]complex64, tm.M)
+			wantA, gotA := make([]complex64, tm.N), make([]complex64, tm.N)
+			before := st.Stats().Misses
+			tm.MulVec(x, want)
+			ooc.MulVec(x, got)
+			tm.MulVecConjTrans(xa, wantA)
+			ooc.MulVecConjTrans(xa, gotA)
+			stats := st.Stats()
+			if stats.ResidentBytes > stats.Budget {
+				t.Fatalf("rep %d f=%d: resident %d over budget %d", rep, f, stats.ResidentBytes, stats.Budget)
+			}
+			if stats.Misses == before {
+				t.Fatalf("rep %d f=%d: products faulted no tiles; panels are being kept resident", rep, f)
+			}
+			if e := relErr(got, want); e != 0 {
+				t.Fatalf("rep %d f=%d MulVec: rel err %g, want bit-exact", rep, f, e)
+			}
+			if e := relErr(gotA, wantA); e != 0 {
+				t.Fatalf("rep %d f=%d MulVecConjTrans: rel err %g, want bit-exact", rep, f, e)
+			}
+		}
 	}
 }
 

@@ -3,7 +3,6 @@ package testkit
 import (
 	"fmt"
 
-	"repro/internal/batch"
 	"repro/internal/cs2"
 	"repro/internal/dense"
 	"repro/internal/mdc"
@@ -43,9 +42,7 @@ func hotPathMatrix() (*tlr.Matrix, error) {
 	return tlr.Compress(a, tlr.Options{NB: hotNB, Tol: 1e-4, Workers: 1})
 }
 
-// HotPaths returns the runtime allocation-budget registry. Every entry
-// runs single-worker: the parallel paths spawn goroutines whose
-// allocations are legitimate scheduling cost, not kernel cost.
+// HotPaths returns the runtime allocation-budget registry.
 func HotPaths() []HotPath {
 	return []HotPath{
 		{Name: "tlr.mulvec", Setup: func() (func(), error) {
@@ -66,92 +63,6 @@ func HotPaths() []HotPath {
 			x[0], x[hotM-1] = 1, 2i
 			return func() { t.MulVecConjTrans(x, y) }, nil
 		}},
-		{Name: "tlr.mulvec_batched", Setup: func() (func(), error) {
-			t, err := hotPathMatrix()
-			if err != nil {
-				return nil, err
-			}
-			x, y := make([]complex64, hotN), make([]complex64, hotM)
-			x[0], x[hotN-1] = 1, 2i
-			return func() {
-				if err := t.MulVecBatched(x, y, 1); err != nil {
-					panic(err)
-				}
-			}, nil
-		}},
-		{Name: "tlr.mulvec_soa", Setup: func() (func(), error) {
-			t, err := hotPathMatrix()
-			if err != nil {
-				return nil, err
-			}
-			x, y := make([]complex64, hotN), make([]complex64, hotM)
-			x[0], x[hotN-1] = 1, 2i
-			return func() { t.MulVecSoA(x, y) }, nil
-		}},
-		{Name: "tlr.mulvec_soa_adjoint", Setup: func() (func(), error) {
-			t, err := hotPathMatrix()
-			if err != nil {
-				return nil, err
-			}
-			x, y := make([]complex64, hotM), make([]complex64, hotN)
-			x[0], x[hotM-1] = 1, 2i
-			return func() { t.MulVecConjTransSoA(x, y) }, nil
-		}},
-		{Name: "tlr.mulvec_normal", Setup: func() (func(), error) {
-			t, err := hotPathMatrix()
-			if err != nil {
-				return nil, err
-			}
-			x, y := make([]complex64, hotN), make([]complex64, hotN)
-			x[0], x[hotN-1] = 1, 2i
-			return func() { t.MulVecNormal(x, y) }, nil
-		}},
-		{Name: "tlr.mulvec_batched_aos", Setup: func() (func(), error) {
-			t, err := hotPathMatrix()
-			if err != nil {
-				return nil, err
-			}
-			x, y := make([]complex64, hotN), make([]complex64, hotM)
-			x[0], x[hotN-1] = 1, 2i
-			return func() {
-				if err := t.MulVecBatchedAoS(x, y, 1); err != nil {
-					panic(err)
-				}
-			}, nil
-		}},
-		{Name: "batch.run", Setup: func() (func(), error) {
-			tasks, err := hotPathBatch()
-			if err != nil {
-				return nil, err
-			}
-			return func() {
-				if err := batch.Run(tasks, batch.Options{Workers: 1}); err != nil {
-					panic(err)
-				}
-			}, nil
-		}},
-		{Name: "batch.run_fourreal", Setup: func() (func(), error) {
-			tasks, err := hotPathBatch()
-			if err != nil {
-				return nil, err
-			}
-			return func() {
-				if err := batch.Run(tasks, batch.Options{Workers: 1, FourReal: true}); err != nil {
-					panic(err)
-				}
-			}, nil
-		}},
-		{Name: "batch.run_soa", Setup: func() (func(), error) {
-			tasks, err := hotPathBatchSoA()
-			if err != nil {
-				return nil, err
-			}
-			return func() {
-				if err := batch.Run(tasks, batch.Options{Workers: 1}); err != nil {
-					panic(err)
-				}
-			}, nil
-		}},
 		{Name: "mdc.kernel_dense", Setup: func() (func(), error) {
 			rng := NewRNG(7)
 			k, err := mdc.NewDenseKernel([]*dense.Matrix{DecayMat(rng, hotM, hotN, 0.5)})
@@ -170,17 +81,12 @@ func HotPaths() []HotPath {
 			k := &mdc.TLRKernel{Mats: []*tlr.Matrix{t}}
 			x, y := make([]complex64, hotN), make([]complex64, hotM)
 			x[0] = 1
-			return func() { k.Apply(0, x, y) }, nil
-		}},
-		{Name: "mdc.kernel_tlr_normal", Setup: func() (func(), error) {
-			t, err := hotPathMatrix()
-			if err != nil {
-				return nil, err
-			}
-			k := &mdc.TLRKernel{Mats: []*tlr.Matrix{t}}
-			x, y := make([]complex64, hotN), make([]complex64, hotN)
-			x[0] = 1
-			return func() { k.ApplyNormal(0, x, y) }, nil
+			// ApplyChecked is what FreqOperator calls on every solve.
+			return func() {
+				if err := k.ApplyChecked(0, x, y); err != nil {
+					panic(err)
+				}
+			}, nil
 		}},
 		{Name: "opstore.tile_hit", Setup: func() (func(), error) {
 			st, nTiles, err := hotPathStore()
@@ -219,9 +125,12 @@ func HotPaths() []HotPath {
 			x, y := make([]complex64, hotN), make([]complex64, hotM)
 			x[0], x[hotN-1] = 1, 2i
 			// Warm-up runs fault every tile in; at the budget above
-			// nothing evicts, so the measured product is all cache hits
-			// through Matrix.tileAt.
-			return func() { t.MulVec(x, y) }, nil
+			// nothing evicts, so the measured products are all cache
+			// hits through Matrix.tileAt into the assembled panels.
+			return func() {
+				t.MulVec(x, y)
+				t.MulVecConjTrans(y, x)
+			}, nil
 		}},
 		{Name: "wsesim.mulvec", Setup: func() (func(), error) {
 			t, err := hotPathMatrix()
@@ -252,64 +161,4 @@ func hotPathStore() (*opstore.Store, int, error) {
 		return nil, 0, err
 	}
 	return st, t.MT * t.NT, nil
-}
-
-// hotPathBatch builds the deterministic variable-size batch: one OpN
-// member per tile U base, the phase-3 shape of the batched TLR-MVM.
-// The tight-stride U factors satisfy the four-real fast-path
-// preconditions (OpN, Beta 0, Alpha 1, LDA == M), so the same batch
-// exercises both the native path and the §6.6 decomposition.
-func hotPathBatch() ([]batch.MVM, error) {
-	t, err := hotPathMatrix()
-	if err != nil {
-		return nil, err
-	}
-	var tasks []batch.MVM
-	x := make([]complex64, hotM)
-	for i := range x {
-		x[i] = complex(float32(i%5)-2, float32(i%3))
-	}
-	for _, tile := range t.Tiles {
-		u := tile.U
-		tasks = append(tasks, batch.MVM{
-			Oper: batch.OpN, M: u.Rows, N: u.Cols, Alpha: 1,
-			A: u.Data, LDA: u.Stride, X: x[:u.Cols], Y: make([]complex64, u.Rows),
-		})
-	}
-	return tasks, nil
-}
-
-// hotPathBatchSoA builds the same deterministic batch with each member's
-// matrix carried as presplit float32 planes (batch.MVM.AR/AI), plus one
-// OpC member per tile so both split-plane executors stay under the gate.
-func hotPathBatchSoA() ([]batch.MVM, error) {
-	t, err := hotPathMatrix()
-	if err != nil {
-		return nil, err
-	}
-	var tasks []batch.MVM
-	x := make([]complex64, hotM)
-	for i := range x {
-		x[i] = complex(float32(i%5)-2, float32(i%3))
-	}
-	for _, tile := range t.Tiles {
-		u := tile.U
-		if u.Cols == 0 {
-			continue
-		}
-		ne := u.Stride*(u.Cols-1) + u.Rows
-		ar, ai := make([]float32, ne), make([]float32, ne)
-		for k := 0; k < ne; k++ {
-			ar[k], ai[k] = real(u.Data[k]), imag(u.Data[k])
-		}
-		tasks = append(tasks, batch.MVM{
-			Oper: batch.OpN, M: u.Rows, N: u.Cols, Alpha: 1,
-			AR: ar, AI: ai, LDA: u.Stride, X: x[:u.Cols], Y: make([]complex64, u.Rows),
-		})
-		tasks = append(tasks, batch.MVM{
-			Oper: batch.OpC, M: u.Rows, N: u.Cols, Alpha: 1,
-			AR: ar, AI: ai, LDA: u.Stride, X: x[:u.Rows], Y: make([]complex64, u.Cols),
-		})
-	}
-	return tasks, nil
 }

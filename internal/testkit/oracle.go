@@ -44,9 +44,10 @@ type Config struct {
 // Oracle runs one (matrix, tolerance, precision) case through every
 // implementation of the TLR-MVM stack and asserts agreement plus
 // hardware-model invariants. Implementations covered: dense MVM (the
-// reference), sequential/parallel/batched TLR-MVM, the MDC frequency
-// operator over both dense and TLR kernels, the wsesim functional PE
-// simulation, and (optionally) the reduced-precision quantized operator.
+// reference), the TLR-MVM kernel in memory and served from the tile
+// store, the MDC frequency operator over both dense and TLR kernels, the
+// wsesim functional PE simulation, and (optionally) the
+// reduced-precision quantized operator and its store-backed twin.
 type Oracle struct {
 	A     *dense.Matrix
 	T     *tlr.Matrix
@@ -95,58 +96,6 @@ func New(a *dense.Matrix, cfg Config) (*Oracle, error) {
 		Adjoint: t.MulVecConjTrans,
 		Tol:     compTol,
 	})
-	o.Impls = append(o.Impls, Impl{
-		Name: "tlr-parallel",
-		Apply: func(x, y []complex64) error {
-			t.MulVecParallel(x, y, workers)
-			return nil
-		},
-		Adjoint: func(x, y []complex64) { t.MulVecConjTransParallel(x, y, workers) },
-		Tol:     compTol,
-		PairTol: pairTol,
-	})
-	o.Impls = append(o.Impls, Impl{
-		Name: "tlr-batched",
-		Apply: func(x, y []complex64) error {
-			return t.MulVecBatched(x, y, workers)
-		},
-		Tol:     compTol,
-		PairTol: pairTol,
-	})
-	// The stacked split-plane (SoA) paths: same math as the AoS tile
-	// paths, float32 accumulation instead of the complex Gemv's float64 —
-	// ExecTolerance absorbs the difference for the paper-scale ranks.
-	o.Impls = append(o.Impls, Impl{
-		Name: "tlr-soa",
-		Apply: func(x, y []complex64) error {
-			t.MulVecSoA(x, y)
-			return nil
-		},
-		Adjoint: t.MulVecConjTransSoA,
-		Tol:     compTol,
-		PairTol: pairTol,
-	})
-	o.Impls = append(o.Impls, Impl{
-		Name: "tlr-soa-parallel",
-		Apply: func(x, y []complex64) error {
-			t.MulVecSoAParallel(x, y, workers)
-			return nil
-		},
-		Adjoint: func(x, y []complex64) { t.MulVecConjTransSoAParallel(x, y, workers) },
-		Tol:     compTol,
-		PairTol: pairTol,
-	})
-	// The AoS batched formulation kept as the oracle reference for the
-	// stacked SoA MulVecBatched.
-	o.Impls = append(o.Impls, Impl{
-		Name: "tlr-batched-aos",
-		Apply: func(x, y []complex64) error {
-			return t.MulVecBatchedAoS(x, y, workers)
-		},
-		Tol:     compTol,
-		PairTol: pairTol,
-	})
-
 	// MDC operator with a single-frequency dense kernel: must reproduce
 	// the dense reference up to execution-order rounding.
 	dk, err := mdc.NewDenseKernel([]*dense.Matrix{a})
@@ -329,16 +278,6 @@ func New(a *dense.Matrix, cfg Config) (*Oracle, error) {
 		Tol:     compTol,
 		PairTol: pairTol,
 	})
-	o.Impls = append(o.Impls, Impl{
-		Name: "opstore-soa",
-		Apply: func(x, y []complex64) error {
-			oocT.MulVecSoA(x, y)
-			return nil
-		},
-		Adjoint: oocT.MulVecConjTransSoA,
-		Tol:     compTol,
-		PairTol: pairTol,
-	})
 	if cfg.Format != precision.FP32 {
 		oocQ, err := storeBacked(t, precision.Uniform{F: cfg.Format}, t.CompressedBytes()/2+1024)
 		if err != nil {
@@ -479,60 +418,76 @@ func (o *Oracle) checkInvariants(rng *rand.Rand) error {
 				impl.Name, gap, adjTol)
 		}
 	}
-	// 2. fused normal product: MulVecNormal fuses the adjoint∘forward
-	//    composition around a single hot pass over the U panels without
-	//    reordering a single accumulation, so it must reproduce the SoA
-	//    composition bit for bit.
+	// 2. own reconstruction: the kernel sweeps panels laid out from the
+	//    tiles, so it must match the dense MVM of the tiles' own
+	//    reconstruction up to summation order. That reference shares no
+	//    code with the kernel and catches panels that drift from their
+	//    tiles.
+	{
+		rec := o.T.Reconstruct()
+		x, xa := Vec(rng, n), Vec(rng, m)
+		want, got := make([]complex64, m), make([]complex64, m)
+		wantA, gotA := make([]complex64, n), make([]complex64, n)
+		rec.MulVec(x, want)
+		o.T.MulVec(x, got)
+		rec.MulVecConjTrans(xa, wantA)
+		o.T.MulVecConjTrans(xa, gotA)
+		if e := RelErr(got, want); e > ExecTolerance(n) {
+			return fmt.Errorf("oracle: MulVec deviates from its own reconstruction: relErr %.3g > %.3g", e, ExecTolerance(n))
+		}
+		if e := RelErr(gotA, wantA); e > ExecTolerance(m) {
+			return fmt.Errorf("oracle: MulVecConjTrans deviates from its own reconstruction: relErr %.3g > %.3g", e, ExecTolerance(m))
+		}
+	}
+	// 3. normal product: TLRKernel.ApplyNormal is the forward product
+	//    followed by the adjoint, so it must reproduce that composition
+	//    bit for bit.
 	{
 		x := Vec(rng, n)
 		ax := make([]complex64, m)
 		comp := make([]complex64, n)
-		fused := make([]complex64, n)
-		o.T.MulVecSoA(x, ax)
-		o.T.MulVecConjTransSoA(ax, comp)
-		o.T.MulVecNormal(x, fused)
-		if d := MaxULPDist(fused, comp); d != 0 {
-			return fmt.Errorf("oracle: fused normal product %d ULPs from SoA adjoint∘forward composition", d)
-		}
-		// The MDC layers above the fused kernel add no arithmetic of their
-		// own (single frequency, unit scale), so they must reproduce the
-		// tlr.Matrix product exactly.
-		normalOp := &mdc.FreqOperator{K: &mdc.TLRKernel{Mats: []*tlr.Matrix{o.T}}, Workers: 1}
-		opOut := make([]complex64, n)
-		normalOp.ApplyNormal(x, opOut)
-		if d := MaxULPDist(opOut, fused); d != 0 {
-			return fmt.Errorf("oracle: FreqOperator.ApplyNormal %d ULPs from the fused TLR normal product", d)
+		normal := make([]complex64, n)
+		o.T.MulVec(x, ax)
+		o.T.MulVecConjTrans(ax, comp)
+		(&mdc.TLRKernel{Mats: []*tlr.Matrix{o.T}}).ApplyNormal(0, x, normal)
+		if d := MaxULPDist(normal, comp); d != 0 {
+			return fmt.Errorf("oracle: TLRKernel.ApplyNormal %d ULPs from ApplyAdjoint∘Apply", d)
 		}
 	}
-	// 3. out-of-core identity: the store-backed twin runs the identical
-	//    kernels on bit-identically decoded tiles, so both the AoS and
-	//    SoA products — and, under a reduced format, the quantized pair —
-	//    must reproduce their in-memory counterparts to the bit. This is
-	//    the differential proof that paging, CRC verification, tile
-	//    decode, and cache eviction are invisible to the numerics.
+	// 4. out-of-core identity: the store-backed twin assembles the same
+	//    panels from bit-identically decoded tiles and sweeps them with
+	//    the same blocking, so its forward and adjoint products — and,
+	//    under a reduced format, the quantized pair — must reproduce
+	//    their in-memory counterparts to the bit. This is the
+	//    differential proof that paging, CRC verification, tile decode,
+	//    panel assembly and cache eviction are invisible to the numerics.
 	{
 		x := Vec(rng, n)
-		mem := make([]complex64, m)
-		ooc := make([]complex64, m)
-		o.T.MulVec(x, mem)
-		o.oocT.MulVec(x, ooc)
-		if d := MaxULPDist(ooc, mem); d != 0 {
-			return fmt.Errorf("oracle: store-backed MulVec %d ULPs from in-memory", d)
+		xa := Vec(rng, m)
+		mem, ooc := make([]complex64, m), make([]complex64, m)
+		memA, oocA := make([]complex64, n), make([]complex64, n)
+		type twin struct {
+			name     string
+			mem, ooc *tlr.Matrix
 		}
-		o.T.MulVecSoA(x, mem)
-		o.oocT.MulVecSoA(x, ooc)
-		if d := MaxULPDist(ooc, mem); d != 0 {
-			return fmt.Errorf("oracle: store-backed MulVecSoA %d ULPs from in-memory", d)
-		}
+		pairs := []twin{{"", o.T, o.oocT}}
 		if o.oocQ != nil {
-			o.qT.MulVec(x, mem)
-			o.oocQ.MulVec(x, ooc)
+			pairs = append(pairs, twin{"quantized ", o.qT, o.oocQ})
+		}
+		for _, p := range pairs {
+			p.mem.MulVec(x, mem)
+			p.ooc.MulVec(x, ooc)
 			if d := MaxULPDist(ooc, mem); d != 0 {
-				return fmt.Errorf("oracle: store-backed quantized MulVec %d ULPs from precision.Quantize twin", d)
+				return fmt.Errorf("oracle: store-backed %sMulVec %d ULPs from in-memory", p.name, d)
+			}
+			p.mem.MulVecConjTrans(xa, memA)
+			p.ooc.MulVecConjTrans(xa, oocA)
+			if d := MaxULPDist(oocA, memA); d != 0 {
+				return fmt.Errorf("oracle: store-backed %sMulVecConjTrans %d ULPs from in-memory", p.name, d)
 			}
 		}
 	}
-	// 4. cycle model: the machine's worst-chunk cycle count must be
+	// 5. cycle model: the machine's worst-chunk cycle count must be
 	//    positive and exactly reproduce the §6.7 strategy-1 formula.
 	var wantCycles int64
 	for _, pe := range o.machine.PEs {
@@ -548,7 +503,7 @@ func (o *Oracle) checkInvariants(rng *rand.Rand) error {
 	if got := o.machine.ModelCycles(); got != wantCycles {
 		return fmt.Errorf("oracle: ModelCycles %d != ChunkCycles recomputation %d", got, wantCycles)
 	}
-	// 5. executed traffic: the meters tallied while the oracle ran must
+	// 6. executed traffic: the meters tallied while the oracle ran must
 	//    equal the §6.6 absolute-bytes prediction from the chunk plan.
 	if o.wsesimMuls > 0 {
 		meter := o.machine.TotalMeter()

@@ -13,12 +13,12 @@
 //     accuracy and a storage format into an MVM error budget;
 //  3. a differential oracle driver (oracle.go) that runs the same
 //     (matrix, vector, tolerance, precision) case through dense MVM,
-//     TLR-MVM (sequential, parallel, batched), the MDC operator, and
-//     the wsesim functional path, asserting pairwise agreement and
-//     hardware-model invariants.
+//     the TLR-MVM kernel (in memory and store-backed), the MDC
+//     operator, and the wsesim functional path, asserting pairwise
+//     agreement and hardware-model invariants.
 //
 // The package is imported only from tests. Packages that testkit itself
-// depends on (dense, cfloat, tlr, batch, mdc, wsesim, precision, cs2,
+// depends on (dense, cfloat, tlr, mdc, wsesim, precision, cs2, opstore,
 // seismic) must consume it from external test packages (package
 // foo_test) to avoid import cycles; leaf packages (adaptive, tlrmmm,
 // lsqr, cgls, ...) may use it from either.

@@ -72,37 +72,6 @@ func TestDifferentialCompressionMethods(t *testing.T) {
 	}
 }
 
-// TestParallelBitwiseMatchesSequential: the parallel TLR-MVM partitions
-// work over disjoint output blocks without changing any summation order,
-// so it must agree with the sequential path to the last ULP.
-func TestParallelBitwiseMatchesSequential(t *testing.T) {
-	a := testkit.Mat(testkit.NewRNG(120), 50, 45)
-	tm, err := tlr.Compress(a, tlr.Options{NB: 10, Tol: 1e-4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := testkit.NewRNG(121)
-	for trial := 0; trial < 3; trial++ {
-		x := testkit.Vec(rng, tm.N)
-		ys := make([]complex64, tm.M)
-		yp := make([]complex64, tm.M)
-		tm.MulVec(x, ys)
-		tm.MulVecParallel(x, yp, 4)
-		if d := testkit.MaxULPDist(yp, ys); d != 0 {
-			t.Fatalf("trial %d: parallel result %d ULPs from sequential", trial, d)
-		}
-		// adjoint path likewise
-		xa := testkit.Vec(rng, tm.M)
-		as := make([]complex64, tm.N)
-		ap := make([]complex64, tm.N)
-		tm.MulVecConjTrans(xa, as)
-		tm.MulVecConjTransParallel(xa, ap, 4)
-		if d := testkit.MaxULPDist(ap, as); d != 0 {
-			t.Fatalf("trial %d: parallel adjoint %d ULPs from sequential", trial, d)
-		}
-	}
-}
-
 // TestTLRAdjointConsistency checks ⟨Ax, y⟩ ≈ ⟨x, Aᴴy⟩ directly on the
 // compressed operator for every compression method — the property the
 // LSQR/CGLS inversions rest on.
@@ -124,29 +93,3 @@ func (o tlrOperator) Rows() int                     { return o.t.M }
 func (o tlrOperator) Cols() int                     { return o.t.N }
 func (o tlrOperator) Apply(x, y []complex64)        { o.t.MulVec(x, y) }
 func (o tlrOperator) ApplyAdjoint(x, y []complex64) { o.t.MulVecConjTrans(x, y) }
-
-// TestBatchedMatchesSequentialAcrossShapes drives MulVecBatched over
-// ragged shapes (edge tiles smaller than NB) and worker counts.
-func TestBatchedMatchesSequentialAcrossShapes(t *testing.T) {
-	rng := testkit.NewRNG(140)
-	for _, dims := range [][2]int{{30, 30}, {33, 27}, {25, 70}, {70, 25}} {
-		m, n := dims[0], dims[1]
-		a := testkit.DecayMat(rng, m, n, 0.6)
-		tm, err := tlr.Compress(a, tlr.Options{NB: 10, Tol: 1e-4})
-		if err != nil {
-			t.Fatal(err)
-		}
-		x := testkit.Vec(rng, n)
-		want := make([]complex64, m)
-		tm.MulVec(x, want)
-		for _, workers := range []int{1, 2, 8} {
-			got := make([]complex64, m)
-			if err := tm.MulVecBatched(x, got, workers); err != nil {
-				t.Fatal(err)
-			}
-			if e := testkit.RelErr(got, want); e > testkit.ExecTolerance(n) {
-				t.Fatalf("%dx%d workers=%d: batched relErr %g", m, n, workers, e)
-			}
-		}
-	}
-}

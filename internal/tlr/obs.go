@@ -14,18 +14,7 @@ var (
 	obsPhase3   = obs.NewTimer("tlr.mvm.phase3")
 	obsAdjoint  = obs.NewTimer("tlr.mvm_adjoint")
 	obsAdjMeter = obs.NewMeter("tlr.mvm_adjoint")
-	obsBatched  = obs.NewTimer("tlr.mvm_batched")
-	obsBatMeter = obs.NewMeter("tlr.mvm_batched")
-
-	obsSoABuild    = obs.NewTimer("tlr.soa.build")
-	obsSoA         = obs.NewTimer("tlr.mvm_soa")
-	obsSoAMeter    = obs.NewMeter("tlr.mvm_soa")
-	obsSoAAdj      = obs.NewTimer("tlr.mvm_soa_adjoint")
-	obsSoAAdjMeter = obs.NewMeter("tlr.mvm_soa_adjoint")
-	obsNormal      = obs.NewTimer("tlr.mvm_normal")
-	obsNormalMeter = obs.NewMeter("tlr.mvm_normal")
-	obsBatAoS      = obs.NewTimer("tlr.mvm_batched_aos")
-	obsBatAoSMeter = obs.NewMeter("tlr.mvm_batched_aos")
+	obsSoABuild = obs.NewTimer("tlr.soa.build")
 )
 
 // FlopCount returns the floating-point operations of one forward (or
@@ -36,7 +25,7 @@ func (t *Matrix) FlopCount() int64 {
 	var macs int64
 	for i := 0; i < t.MT; i++ {
 		for j := 0; j < t.NT; j++ {
-			macs += int64(t.Tile(i, j).Rank()) * int64(t.tileRows(i)+t.tileCols(j))
+			macs += int64(t.rankAt(i*t.NT+j)) * int64(t.tileRows(i)+t.tileCols(j))
 		}
 	}
 	return 8 * macs

@@ -4,15 +4,15 @@ package tlr
 // compressed — no Matrix can hold all its tiles resident. A Matrix built
 // by NewOutOfCore starts with every Tiles entry nil and faults tiles in
 // through a TileSource (internal/opstore layers a byte-budgeted LRU
-// cache over the paged tlrio format behind this interface). Every MVM
-// path — sequential, parallel, SoA, batched — reaches tiles only through
-// tileAt/rankAt below, so in-memory and store-backed matrices run the
-// identical kernels; the differential oracle registers both and holds
-// them to ≤1e-6 relative error of each other.
+// cache over the paged tlrio format behind this interface). The kernel
+// reaches tiles only through tileAt/rankAt below, so in-memory and
+// store-backed matrices run the identical panel sweeps; the
+// differential oracle registers both and holds them to 0 ULPs of each
+// other.
 
 // TileSource supplies tiles of an out-of-core matrix on demand.
-// Implementations are expected to be safe for concurrent use (the
-// parallel MVM paths fault tiles from several goroutines) and to own the
+// Implementations are expected to be safe for concurrent use (concurrent
+// products on one matrix fault tiles from several goroutines) and to own the
 // returned tile's lifetime — callers must not mutate it, and the source
 // may hand the same *Tile to concurrent callers.
 type TileSource interface {
@@ -25,12 +25,10 @@ type TileSource interface {
 }
 
 // NewOutOfCore builds an M×N matrix with tile size nb whose tiles are
-// faulted in from src instead of held resident. The returned matrix
-// supports every product path of an in-memory one; AoS paths (MulVec,
-// MulVecConjTrans, MulVecBatchedAoS) stream tiles through the source per
-// product, while the SoA paths materialize the stacked planes once on
-// first use (pulling each tile exactly once) and are resident
-// thereafter.
+// faulted in from src instead of held resident. It keeps no resident
+// panel planes: every MulVec and MulVecConjTrans assembles each stacked
+// panel from the source into a buffer sized to the largest panel, so
+// the resident working set is whatever the source caches.
 func NewOutOfCore(m, n, nb int, src TileSource) *Matrix {
 	mt := (m + nb - 1) / nb
 	nt := (n + nb - 1) / nb

@@ -1,71 +1,30 @@
 package tlr
 
-import (
-	"sync"
-	"sync/atomic"
-
-	"repro/internal/batch"
-)
-
-// The three-phase MVM needs three intermediates per call: the stacked
-// Yv/Yu projection vector, the per-tile partial outputs of the batched
-// phase 3, and the batch task list. Allocating them per product put
-// O(MT·NT) makes on the hot path; they are hoisted here into a
-// per-matrix free list so steady-state products allocate nothing (the
-// allocfree analyzer proves it statically, testkit's AllocsPerRun gate
-// proves it at runtime). A channel free list rather than sync.Pool: the
-// pool may drop entries at any GC, which makes AllocsPerRun
-// nondeterministic, and rather than a single cached buffer because
-// stress tests drive one Matrix from many goroutines concurrently.
+// A product needs split input/output planes, the column- and row-stacked
+// intermediates and, for store-backed matrices, one panel buffer.
+// Allocating them per product put makes on the hot path; they are
+// hoisted here into a per-matrix free list so steady-state products
+// allocate nothing (the allocfree analyzer proves it statically,
+// testkit's AllocsPerRun gate proves it at runtime). A channel free list
+// rather than sync.Pool: the pool may drop entries at any GC, which
+// makes AllocsPerRun nondeterministic, and rather than a single cached
+// buffer because line inversions drive one Matrix from many goroutines
+// concurrently.
 const scratchPoolCap = 16
 
-// mvmScratch is one checkout of the MVM intermediates.
+// mvmScratch is one checkout of the product intermediates.
 type mvmScratch struct {
-	// yv holds every tile's projection segment, stacked by tile index:
-	// tile idx owns yv[rankOff[idx]:rankOff[idx+1]].
-	yv []complex64
-	// yvc is the column-stacked counterpart (tile order j-major, offsets
-	// in soaLayout.colSeg), the pre-shuffle intermediate of the stacked
-	// batched path.
-	yvc []complex64
-	// partials holds phase-3 per-tile outputs, stacked by tile index:
-	// tile idx owns partials[partOff[idx]:partOff[idx+1]].
-	partials []complex64
-	// tasks is the reusable batch member list (cap MT·NT).
-	tasks []batch.MVM
-
-	// Split-plane scratch for the SoA kernels (soa.go): the input and
-	// output vectors split once per product (length max(M,N) each) and
-	// the column- and row-stacked intermediate planes (length TotalRank).
-	fxr, fxi []float32
-	foutR    []float32
-	foutI    []float32
+	// xr/xi hold the input vector split once per product and outR/outI
+	// the output blocks before their merge (length max(M,N) each).
+	xr, xi     []float32
+	outR, outI []float32
+	// ycR/ycI and yuR/yuI are the column- and row-stacked intermediate
+	// planes (length TotalRank).
 	ycR, ycI []float32
 	yuR, yuI []float32
-}
-
-// ensureScratch computes the stacked-segment offset tables and creates
-// the free list, once per Matrix. A mutex-guarded slow path behind an
-// atomic flag instead of sync.Once: the fast path must stay free of the
-// method-value closure `t.once.Do(...)` would allocate per call.
-func (t *Matrix) ensureScratch() {
-	if t.scratchReady.Load() == 1 {
-		return
-	}
-	t.scratchMu.Lock()
-	defer t.scratchMu.Unlock()
-	if t.scratchReady.Load() == 1 {
-		return
-	}
-	nTiles := t.MT * t.NT
-	t.rankOff = make([]int, nTiles+1)
-	t.partOff = make([]int, nTiles+1)
-	for idx := 0; idx < nTiles; idx++ {
-		t.rankOff[idx+1] = t.rankOff[idx] + t.rankAt(idx)
-		t.partOff[idx+1] = t.partOff[idx] + t.tileRows(idx/t.NT)
-	}
-	t.scratchFree = make(chan *mvmScratch, scratchPoolCap)
-	t.scratchReady.Store(1)
+	// panelR/panelI receive one assembled panel of a store-backed matrix
+	// (length soaLayout.maxPanel); nil for in-memory matrices.
+	panelR, panelI []float32
 }
 
 // getScratch checks a scratch set out of the free list, allocating a
@@ -73,50 +32,36 @@ func (t *Matrix) ensureScratch() {
 // concurrent products beyond the pool capacity).
 //
 //lint:alloc-ok free-list checkout; the fallback allocation happens only on first use and on concurrency bursts beyond the pool cap
-func (t *Matrix) getScratch() *mvmScratch {
-	t.ensureScratch()
+func (t *Matrix) getScratch(l *soaLayout) *mvmScratch {
 	select {
-	case s := <-t.scratchFree:
+	case s := <-l.free:
 		return s
 	default:
 	}
-	nTiles := t.MT * t.NT
-	tr := t.rankOff[nTiles]
+	tr := l.rowSeg[len(l.rowSeg)-1]
 	mn := max(t.M, t.N)
-	return &mvmScratch{
-		yv:       make([]complex64, tr),
-		yvc:      make([]complex64, tr),
-		partials: make([]complex64, t.partOff[nTiles]),
-		tasks:    make([]batch.MVM, 0, nTiles),
-		fxr:      make([]float32, mn),
-		fxi:      make([]float32, mn),
-		foutR:    make([]float32, mn),
-		foutI:    make([]float32, mn),
-		ycR:      make([]float32, tr),
-		ycI:      make([]float32, tr),
-		yuR:      make([]float32, tr),
-		yuI:      make([]float32, tr),
+	s := &mvmScratch{
+		xr:   make([]float32, mn),
+		xi:   make([]float32, mn),
+		outR: make([]float32, mn),
+		outI: make([]float32, mn),
+		ycR:  make([]float32, tr),
+		ycI:  make([]float32, tr),
+		yuR:  make([]float32, tr),
+		yuI:  make([]float32, tr),
 	}
+	if t.OutOfCore() {
+		s.panelR = make([]float32, l.maxPanel)
+		s.panelI = make([]float32, l.maxPanel)
+	}
+	return s
 }
 
 // putScratch returns a scratch set to the free list, dropping it when
 // the list is full.
-func (t *Matrix) putScratch(s *mvmScratch) {
-	s.tasks = s.tasks[:0]
+func (l *soaLayout) putScratch(s *mvmScratch) {
 	select {
-	case t.scratchFree <- s:
+	case l.free <- s:
 	default:
 	}
-}
-
-// scratchState is embedded in Matrix; a separate struct keeps the
-// public Matrix fields (and keyed literals elsewhere) untouched.
-type scratchState struct {
-	scratchReady atomic.Uint32
-	scratchMu    sync.Mutex
-	scratchFree  chan *mvmScratch
-	// rankOff and partOff are the stacked-segment offset tables, length
-	// MT·NT+1 each.
-	rankOff []int
-	partOff []int
 }

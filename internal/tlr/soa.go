@@ -1,11 +1,11 @@
 package tlr
 
-// Structure-of-arrays (SoA) TLR-MVM paths. The per-tile U/V bases are
-// re-laid at compress time into the paper's stacked form (Fig. 4): one
-// column-major panel per tile column holding every V base of that column
-// stacked along the rank dimension, and one panel per tile row holding
-// the U bases likewise — each panel split into float32 real/imaginary
-// planes. Two things fall out of the layout:
+// The TLR-MVM kernel: MulVec and MulVecConjTrans, the only two products
+// a Matrix offers. The per-tile U/V bases are laid out in the paper's
+// stacked form (Fig. 4): one column-major panel per tile column holding
+// every V base of that column stacked along the rank dimension, and one
+// panel per tile row holding the U bases likewise — each panel split
+// into float32 real/imaginary planes. Two things fall out of the layout:
 //
 //   - Phase 1 and phase 3 become MT+NT long skinny GEMVs over contiguous
 //     stride-1 planes instead of 2·MT·NT per-tile complex products, so
@@ -13,21 +13,23 @@ package tlr
 //     the vector endpoints split exactly once per product.
 //   - The phase-2 shuffle (Fig. 6) becomes explicit: the column-stacked
 //     intermediate (colSeg offsets) is permuted into the row-stacked
-//     ordering (rankOff offsets) between the two batched phases, which is
+//     ordering (rowSeg offsets) between the two batched phases, which is
 //     the same data movement the CS-2 mapping pays as fabric traffic.
 //
 // Panels are swept in cache blocks of soaLayout.panelCols stacked
 // columns, sized from the roofline cache model so a block plus the
-// resident vectors fits in half the L2; the fused normal pass
-// (MulVecNormal) leans on that residency to stream each U panel's block
-// through the forward and adjoint products back to back.
+// resident vectors fits in half the L2.
 //
-// The AoS tile paths (tlr.go, batched.go) are kept untouched as oracle
-// references; the differential tests in internal/testkit pin the SoA
-// variants against them.
+// OutOfCore chooses where a panel comes from. An in-memory matrix keeps
+// every panel resident, built once at Compress (or on the first product
+// for matrices assembled elsewhere). A store-backed matrix keeps none:
+// each product assembles one panel at a time from its tiles (tileAt)
+// into a per-product buffer sized to the largest panel, so what stays
+// resident is the tile cache's budget. An assembled panel holds the same
+// bytes as the resident one and is swept with the same blocking, so the
+// two kinds of matrix give bit-identical products.
 
 import (
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -35,53 +37,46 @@ import (
 	"repro/internal/roofline"
 )
 
-// soaLayout is the stacked split-plane factor storage of one Matrix.
+// soaLayout is the stacked split-plane factor layout of one Matrix.
 type soaLayout struct {
-	// vr/vi hold the V panels: panel j is tileCols(j)×colK(j)
-	// column-major (leading dimension tileCols(j)) at plane offset
-	// vOff[j], tiles stacked in tile-row order along the rank dimension.
+	// rowSeg and colSeg are the row- and column-stacked intermediate
+	// offsets, length MT·NT+1 each: tile (i,j) owns
+	// yu[rowSeg[i*NT+j]:rowSeg[i*NT+j+1]] and
+	// yc[colSeg[j*MT+i]:colSeg[j*MT+i+1]].
+	rowSeg, colSeg []int
+	// vOff and uOff are the panel offsets: V panel j is
+	// tileCols(j)×colK(j) column-major (leading dimension tileCols(j))
+	// at vOff[j], tiles stacked in tile-row order along the rank
+	// dimension; U panel i is tileRows(i)×rowK(i) at uOff[i], tiles
+	// stacked in tile-column order.
+	vOff, uOff []int
+	// vr/vi and ur/ui are the resident V and U panel planes at those
+	// offsets; nil for store-backed matrices.
 	vr, vi []float32
-	vOff   []int // length NT+1
-	// ur/ui hold the U panels: panel i is tileRows(i)×rowK(i)
-	// column-major (leading dimension tileRows(i)) at plane offset
-	// uOff[i], tiles stacked in tile-column order.
 	ur, ui []float32
-	uOff   []int // length MT+1
-	// colSeg are the column-stacked intermediate offsets, the j-major
-	// counterpart of Matrix.rankOff: tile (i,j) owns
-	// yc[colSeg[j*MT+i]:colSeg[j*MT+i+1]]. Length MT·NT+1.
-	colSeg []int
+	// maxPanel is the element count of the largest panel, the size of a
+	// store-backed product's panel buffer.
+	maxPanel int
 	// panelCols is the cache-block width (stacked rank columns per GEMV
 	// panel sweep), quad-aligned, from roofline.Cache.GemvPanelCols.
 	panelCols int
+	// free is the product scratch free list (see scratch.go).
+	free chan *mvmScratch
 }
 
-// soaState is embedded in Matrix; like scratchState it keeps the keyed
+// soaState is embedded in Matrix; a separate struct keeps the keyed
 // Matrix literals in precision and tlrio valid, so matrices built
-// without Compress convert lazily on their first SoA product.
+// without Compress lay themselves out on their first product.
 type soaState struct {
 	soaReady atomic.Uint32
 	soaMu    sync.Mutex
 	soa      *soaLayout
 }
 
-// EnsureSoA builds the stacked split-plane layout now rather than on the
-// first SoA product. Compress calls it so layout conversion happens at
-// compress time; it is safe and cheap to call again.
-func (t *Matrix) EnsureSoA() { t.getSoA() }
-
-// SoABytes returns the footprint of the stacked split-plane copy of the
-// factors (equal to CompressedBytes: two float32 planes per complex64).
-func (t *Matrix) SoABytes() int64 {
-	l := t.getSoA()
-	return 4 * int64(len(l.vr)+len(l.vi)+len(l.ur)+len(l.ui))
-}
-
-// PanelCols returns the cache-block width of the SoA panel sweeps.
-func (t *Matrix) PanelCols() int { return t.getSoA().panelCols }
-
-// getSoA returns the layout, building it once per Matrix. Same
-// atomic-flag pattern as ensureScratch: the fast path must not allocate.
+// getSoA returns the layout, building it once per Matrix. A mutex-guarded
+// slow path behind an atomic flag instead of sync.Once: the fast path
+// must stay free of the method-value closure `once.Do(...)` would
+// allocate per call.
 func (t *Matrix) getSoA() *soaLayout {
 	if t.soaReady.Load() == 1 {
 		return t.soa
@@ -90,70 +85,55 @@ func (t *Matrix) getSoA() *soaLayout {
 	return t.soa
 }
 
-// buildSoA assembles the stacked split-plane layout, once per Matrix.
+// buildSoA computes the offset tables and, for in-memory matrices, the
+// resident panel planes, once per Matrix.
 //
-//lint:alloc-ok one-time lazy build of the SoA planes; every later product takes the atomic-flag fast path in getSoA
+//lint:alloc-ok one-time lazy build of the layout; every later product takes the atomic-flag fast path in getSoA
 func (t *Matrix) buildSoA() {
 	t.soaMu.Lock()
 	defer t.soaMu.Unlock()
 	if t.soaReady.Load() == 1 {
 		return
 	}
-	t.ensureScratch() // rankOff: the row-stacked offsets
 	defer obsSoABuild.Start().End()
 	nTiles := t.MT * t.NT
 	l := &soaLayout{
+		rowSeg: make([]int, nTiles+1),
+		colSeg: make([]int, nTiles+1),
 		vOff:   make([]int, t.NT+1),
 		uOff:   make([]int, t.MT+1),
-		colSeg: make([]int, nTiles+1),
+		free:   make(chan *mvmScratch, scratchPoolCap),
+	}
+	for idx := 0; idx < nTiles; idx++ {
+		l.rowSeg[idx+1] = l.rowSeg[idx] + t.rankAt(idx)
 	}
 	c := 0
 	for j := 0; j < t.NT; j++ {
 		for i := 0; i < t.MT; i++ {
-			l.colSeg[c+1] = l.colSeg[c] + t.Tile(i, j).Rank()
+			l.colSeg[c+1] = l.colSeg[c] + t.rankAt(i*t.NT+j)
 			c++
 		}
 	}
 	for j := 0; j < t.NT; j++ {
 		kc := l.colSeg[(j+1)*t.MT] - l.colSeg[j*t.MT]
 		l.vOff[j+1] = l.vOff[j] + t.tileCols(j)*kc
+		l.maxPanel = max(l.maxPanel, l.vOff[j+1]-l.vOff[j])
 	}
 	for i := 0; i < t.MT; i++ {
-		kr := t.rankOff[(i+1)*t.NT] - t.rankOff[i*t.NT]
+		kr := l.rowSeg[(i+1)*t.NT] - l.rowSeg[i*t.NT]
 		l.uOff[i+1] = l.uOff[i] + t.tileRows(i)*kr
+		l.maxPanel = max(l.maxPanel, l.uOff[i+1]-l.uOff[i])
 	}
-	l.vr = make([]float32, l.vOff[t.NT])
-	l.vi = make([]float32, l.vOff[t.NT])
-	l.ur = make([]float32, l.uOff[t.MT])
-	l.ui = make([]float32, l.uOff[t.MT])
-	for j := 0; j < t.NT; j++ {
-		ld := t.tileCols(j)
-		dst := l.vOff[j]
-		for i := 0; i < t.MT; i++ {
-			v := t.Tile(i, j).V
-			for kk := 0; kk < v.Cols; kk++ {
-				src := v.Data[kk*v.Stride : kk*v.Stride+ld]
-				for r, z := range src {
-					l.vr[dst+r] = real(z)
-					l.vi[dst+r] = imag(z)
-				}
-				dst += ld
-			}
-		}
-	}
-	for i := 0; i < t.MT; i++ {
-		ld := t.tileRows(i)
-		dst := l.uOff[i]
+	if !t.OutOfCore() {
+		l.vr = make([]float32, l.vOff[t.NT])
+		l.vi = make([]float32, l.vOff[t.NT])
+		l.ur = make([]float32, l.uOff[t.MT])
+		l.ui = make([]float32, l.uOff[t.MT])
 		for j := 0; j < t.NT; j++ {
-			u := t.Tile(i, j).U
-			for kk := 0; kk < u.Cols; kk++ {
-				src := u.Data[kk*u.Stride : kk*u.Stride+ld]
-				for r, z := range src {
-					l.ur[dst+r] = real(z)
-					l.ui[dst+r] = imag(z)
-				}
-				dst += ld
-			}
+			t.fillVPanel(j, l.vr[l.vOff[j]:l.vOff[j+1]], l.vi[l.vOff[j]:l.vOff[j+1]])
+		}
+		for i := 0; i < t.MT; i++ {
+			t.fillUPanel(i, l.ur[l.uOff[i]:l.uOff[i+1]], l.ui[l.uOff[i]:l.uOff[i+1]])
 		}
 	}
 	l.panelCols = roofline.DefaultCache().GemvPanelCols(t.NB, 8)
@@ -161,273 +141,214 @@ func (t *Matrix) buildSoA() {
 	t.soaReady.Store(1)
 }
 
-// MulVecSoA computes y = A x over the stacked split-plane layout,
-// sequentially. x must have length N, y length M.
-func (t *Matrix) MulVecSoA(x, y []complex64) {
-	t.mulVecSoA(x, y, 1)
-}
-
-// MulVecSoAParallel is the parallel SoA forward product (phase 1 over
-// tile columns, phase 3 over tile rows). workers <= 0 uses GOMAXPROCS.
-func (t *Matrix) MulVecSoAParallel(x, y []complex64, workers int) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	t.mulVecSoA(x, y, workers)
-}
-
-func (t *Matrix) mulVecSoA(x, y []complex64, workers int) {
-	if len(x) < t.N || len(y) < t.M {
-		panic("tlr: MulVecSoA vector too short")
-	}
-	defer obsSoA.Start().End()
-	meterMVM(obsSoAMeter, t)
-	l := t.getSoA()
-	s := t.getScratch()
-	cfloat.SplitReIm(x[:t.N], s.fxr[:t.N], s.fxi[:t.N])
-	// Phase 1: yc segment of column j = Vcatⱼᴴ · x_j, one stacked GEMV
-	// per tile column. Sequential path calls kernels directly — the
-	// parallel closures would cost one allocation per product.
-	if workers <= 1 || t.NT <= 1 {
-		for j := 0; j < t.NT; j++ {
-			t.forwardVColSoA(j, l, s.ycR, s.ycI, s.fxr, s.fxi)
-		}
-	} else {
-		runIndexed(t.NT, workers, func(j int) {
-			t.forwardVColSoA(j, l, s.ycR, s.ycI, s.fxr, s.fxi)
-		})
-	}
-	// Phase 2: explicit shuffle from the column-stacked to the
-	// row-stacked ordering.
-	t.shuffleColToRow(l, s.ycR, s.ycI, s.yuR, s.yuI)
-	// Phase 3: y_i = Ucatᵢ · yu_i, one stacked GEMV per tile row, merged
-	// straight into the caller's y.
-	if workers <= 1 || t.MT <= 1 {
-		for i := 0; i < t.MT; i++ {
-			t.forwardURowSoA(i, l, s.yuR, s.yuI, s.foutR, s.foutI, y)
-		}
-	} else {
-		runIndexed(t.MT, workers, func(i int) {
-			t.forwardURowSoA(i, l, s.yuR, s.yuI, s.foutR, s.foutI, y)
-		})
-	}
-	t.putScratch(s)
-}
-
-// MulVecConjTransSoA computes y = Aᴴ x over the stacked layout,
-// sequentially. x must have length M, y length N.
-func (t *Matrix) MulVecConjTransSoA(x, y []complex64) {
-	t.mulVecConjTransSoA(x, y, 1)
-}
-
-// MulVecConjTransSoAParallel is the parallel SoA adjoint product.
-func (t *Matrix) MulVecConjTransSoAParallel(x, y []complex64, workers int) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	t.mulVecConjTransSoA(x, y, workers)
-}
-
-func (t *Matrix) mulVecConjTransSoA(x, y []complex64, workers int) {
-	if len(x) < t.M || len(y) < t.N {
-		panic("tlr: MulVecConjTransSoA vector too short")
-	}
-	defer obsSoAAdj.Start().End()
-	meterMVM(obsSoAAdjMeter, t)
-	l := t.getSoA()
-	s := t.getScratch()
-	cfloat.SplitReIm(x[:t.M], s.fxr[:t.M], s.fxi[:t.M])
-	// adjoint phase 1: yu segment of row i = Ucatᵢᴴ · x_i
-	if workers <= 1 || t.MT <= 1 {
-		for i := 0; i < t.MT; i++ {
-			t.adjointURowSoA(i, l, s.fxr, s.fxi, s.yuR, s.yuI)
-		}
-	} else {
-		runIndexed(t.MT, workers, func(i int) {
-			t.adjointURowSoA(i, l, s.fxr, s.fxi, s.yuR, s.yuI)
-		})
-	}
-	t.shuffleRowToCol(l, s.yuR, s.yuI, s.ycR, s.ycI)
-	// adjoint phase 3: y_j = Vcatⱼ · yc segment of column j
-	if workers <= 1 || t.NT <= 1 {
-		for j := 0; j < t.NT; j++ {
-			t.adjointVColSoA(j, l, s.ycR, s.ycI, s.foutR, s.foutI, y)
-		}
-	} else {
-		runIndexed(t.NT, workers, func(j int) {
-			t.adjointVColSoA(j, l, s.ycR, s.ycI, s.foutR, s.foutI, y)
-		})
-	}
-	t.putScratch(s)
-}
-
-// MulVecNormal computes y = Aᴴ(A x), the fused normal product behind the
-// LSQR/CGLS inner iteration: the V panels run the forward phase 1, the
-// shuffled intermediate drives both U products back to back — each
-// cache-resident U block is applied forward (z = Ucatᵢ·yu_i) and
-// immediately adjoint (yu_i ← Ucatᵢᴴ·z) while hot — and the V panels run
-// once more for the adjoint phase 3. One fused pass streams the U planes
-// once per iteration where separate Apply+ApplyAdjoint calls stream them
-// twice (and pay four shuffles instead of two). x and y have length N.
-func (t *Matrix) MulVecNormal(x, y []complex64) {
-	if len(x) < t.N || len(y) < t.N {
-		panic("tlr: MulVecNormal vector too short")
-	}
-	defer obsNormal.Start().End()
-	// two products' worth of flops; the byte meter slightly overstates
-	// the fused pass (U is streamed once, not twice)
-	meterMVM(obsNormalMeter, t)
-	meterMVM(obsNormalMeter, t)
-	l := t.getSoA()
-	s := t.getScratch()
-	cfloat.SplitReIm(x[:t.N], s.fxr[:t.N], s.fxi[:t.N])
-	for j := 0; j < t.NT; j++ {
-		t.forwardVColSoA(j, l, s.ycR, s.ycI, s.fxr, s.fxi)
-	}
-	t.shuffleColToRow(l, s.ycR, s.ycI, s.yuR, s.yuI)
-	for i := 0; i < t.MT; i++ {
-		t.normalURowSoA(i, l, s.yuR, s.yuI, s.foutR, s.foutI)
-	}
-	t.shuffleRowToCol(l, s.yuR, s.yuI, s.ycR, s.ycI)
-	for j := 0; j < t.NT; j++ {
-		t.adjointVColSoA(j, l, s.ycR, s.ycI, s.foutR, s.foutI, y)
-	}
-	t.putScratch(s)
-}
-
-// forwardVColSoA runs SoA phase 1 for tile column j: the column's yc
-// segment = Vcatⱼᴴ · x_j, swept in cache-blocked panels. Registered hot
-// path — must stay allocation-free.
+// fillVPanel writes tile column j's stacked V panel into the split
+// planes dr/di (length tileCols(j)·colK(j)). Registered hot path — a
+// store-backed product runs it once per tile column and must stay
+// allocation-free at cache-hit steady state.
 //
 //lint:hotpath
-func (t *Matrix) forwardVColSoA(j int, l *soaLayout, ycR, ycI, xr, xi []float32) {
+func (t *Matrix) fillVPanel(j int, dr, di []float32) {
+	ld := t.tileCols(j)
+	dst := 0
+	for i := 0; i < t.MT; i++ {
+		v := t.tileAt(i*t.NT + j).V
+		for kk := 0; kk < v.Cols; kk++ {
+			cfloat.SplitReIm(v.Data[kk*v.Stride:kk*v.Stride+ld], dr[dst:dst+ld], di[dst:dst+ld])
+			dst += ld
+		}
+	}
+}
+
+// fillUPanel writes tile row i's stacked U panel into dr/di (length
+// tileRows(i)·rowK(i)). Registered hot path, like fillVPanel.
+//
+//lint:hotpath
+func (t *Matrix) fillUPanel(i int, dr, di []float32) {
+	ld := t.tileRows(i)
+	dst := 0
+	for j := 0; j < t.NT; j++ {
+		u := t.tileAt(i*t.NT + j).U
+		for kk := 0; kk < u.Cols; kk++ {
+			cfloat.SplitReIm(u.Data[kk*u.Stride:kk*u.Stride+ld], dr[dst:dst+ld], di[dst:dst+ld])
+			dst += ld
+		}
+	}
+}
+
+// vPanel returns the planes of tile column j's V panel: resident for an
+// in-memory matrix, assembled into the scratch panel buffer for a
+// store-backed one.
+func (t *Matrix) vPanel(j int, l *soaLayout, s *mvmScratch) (pr, pi []float32) {
+	p0, p1 := l.vOff[j], l.vOff[j+1]
+	if !t.OutOfCore() {
+		return l.vr[p0:p1], l.vi[p0:p1]
+	}
+	pr, pi = s.panelR[:p1-p0], s.panelI[:p1-p0]
+	t.fillVPanel(j, pr, pi)
+	return pr, pi
+}
+
+// uPanel is vPanel for tile row i's U panel.
+func (t *Matrix) uPanel(i int, l *soaLayout, s *mvmScratch) (pr, pi []float32) {
+	p0, p1 := l.uOff[i], l.uOff[i+1]
+	if !t.OutOfCore() {
+		return l.ur[p0:p1], l.ui[p0:p1]
+	}
+	pr, pi = s.panelR[:p1-p0], s.panelI[:p1-p0]
+	t.fillUPanel(i, pr, pi)
+	return pr, pi
+}
+
+// MulVec computes y = A x via the three-phase TLR-MVM. x must have
+// length N, y length M. Safe for concurrent use: every product checks
+// out its own scratch.
+func (t *Matrix) MulVec(x, y []complex64) {
+	if len(x) < t.N || len(y) < t.M {
+		panic("tlr: MulVec vector too short")
+	}
+	defer obsMVM.Start().End()
+	meterMVM(obsMVMMeter, t)
+	l := t.getSoA()
+	s := t.getScratch(l)
+	cfloat.SplitReIm(x[:t.N], s.xr[:t.N], s.xi[:t.N])
+	// Phase 1 (Fig. 5): V-batch. The yc segment of tile column j is
+	// Vcatⱼᴴ · x_j, one stacked GEMV per tile column.
+	sp1 := obsPhase1.Start()
+	for j := 0; j < t.NT; j++ {
+		t.forwardVCol(j, l, s)
+	}
+	sp1.End()
+	// Phase 2 (Fig. 6): shuffle from the column-stacked to the
+	// row-stacked ordering.
+	t.shuffleColToRow(l, s)
+	// Phase 3 (Fig. 7): U-batch. y_i = Ucatᵢ · yu_i, one stacked GEMV
+	// per tile row, merged straight into the caller's y.
+	sp3 := obsPhase3.Start()
+	for i := 0; i < t.MT; i++ {
+		t.forwardURow(i, l, s, y)
+	}
+	sp3.End()
+	l.putScratch(s)
+}
+
+// MulVecConjTrans computes y = Aᴴ x, the adjoint TLR-MVM required by the
+// LSQR solver: tile (i,j) ≈ U Vᴴ contributes V (Uᴴ x_i) to output block
+// j. x must have length M, y length N.
+func (t *Matrix) MulVecConjTrans(x, y []complex64) {
+	if len(x) < t.M || len(y) < t.N {
+		panic("tlr: MulVecConjTrans vector too short")
+	}
+	defer obsAdjoint.Start().End()
+	meterMVM(obsAdjMeter, t)
+	l := t.getSoA()
+	s := t.getScratch(l)
+	cfloat.SplitReIm(x[:t.M], s.xr[:t.M], s.xi[:t.M])
+	// adjoint phase 1: yu segment of row i = Ucatᵢᴴ · x_i
+	for i := 0; i < t.MT; i++ {
+		t.adjointURow(i, l, s)
+	}
+	t.shuffleRowToCol(l, s)
+	// adjoint phase 3: y_j = Vcatⱼ · yc segment of column j
+	for j := 0; j < t.NT; j++ {
+		t.adjointVCol(j, l, s, y)
+	}
+	l.putScratch(s)
+}
+
+// forwardVCol runs phase 1 for tile column j: the column's yc segment =
+// Vcatⱼᴴ · x_j, swept in cache-blocked panels. Registered hot path —
+// must stay allocation-free.
+//
+//lint:hotpath
+func (t *Matrix) forwardVCol(j int, l *soaLayout, s *mvmScratch) {
 	m := t.tileCols(j)
 	base := l.colSeg[j*t.MT]
 	kc := l.colSeg[(j+1)*t.MT] - base
-	outR := ycR[base : base+kc]
-	outI := ycI[base : base+kc]
+	outR := s.ycR[base : base+kc]
+	outI := s.ycI[base : base+kc]
 	for k := range outR {
 		outR[k] = 0
 		outI[k] = 0
 	}
-	xjr := xr[j*t.NB : j*t.NB+m]
-	xji := xi[j*t.NB : j*t.NB+m]
-	off := l.vOff[j]
+	xjr := s.xr[j*t.NB : j*t.NB+m]
+	xji := s.xi[j*t.NB : j*t.NB+m]
+	pr, pi := t.vPanel(j, l, s)
 	for c0 := 0; c0 < kc; c0 += l.panelCols {
 		cw := min(l.panelCols, kc-c0)
-		cfloat.GemvConjSoAAcc(m, cw, l.vr[off+c0*m:], l.vi[off+c0*m:], m,
-			xjr, xji, outR[c0:], outI[c0:])
+		cfloat.GemvConjSoAAcc(m, cw, pr[c0*m:], pi[c0*m:], m, xjr, xji, outR[c0:], outI[c0:])
 	}
 }
 
-// forwardURowSoA runs SoA phase 3 for tile row i: y_i = Ucatᵢ · yu_i,
-// swept in cache-blocked panels and merged into y. Registered hot path —
-// must stay allocation-free.
+// forwardURow runs phase 3 for tile row i: y_i = Ucatᵢ · yu_i, swept in
+// cache-blocked panels and merged into y. Registered hot path — must
+// stay allocation-free.
 //
 //lint:hotpath
-func (t *Matrix) forwardURowSoA(i int, l *soaLayout, yuR, yuI, outR, outI []float32, y []complex64) {
+func (t *Matrix) forwardURow(i int, l *soaLayout, s *mvmScratch, y []complex64) {
 	rows := t.tileRows(i)
-	base := t.rankOff[i*t.NT]
-	kr := t.rankOff[(i+1)*t.NT] - base
-	or := outR[i*t.NB : i*t.NB+rows]
-	oi := outI[i*t.NB : i*t.NB+rows]
+	base := l.rowSeg[i*t.NT]
+	kr := l.rowSeg[(i+1)*t.NT] - base
+	or := s.outR[i*t.NB : i*t.NB+rows]
+	oi := s.outI[i*t.NB : i*t.NB+rows]
 	for k := range or {
 		or[k] = 0
 		oi[k] = 0
 	}
-	off := l.uOff[i]
+	pr, pi := t.uPanel(i, l, s)
 	for c0 := 0; c0 < kr; c0 += l.panelCols {
 		cw := min(l.panelCols, kr-c0)
-		cfloat.GemvSoAAcc(rows, cw, l.ur[off+c0*rows:], l.ui[off+c0*rows:], rows,
-			yuR[base+c0:], yuI[base+c0:], or, oi)
+		cfloat.GemvSoAAcc(rows, cw, pr[c0*rows:], pi[c0*rows:], rows,
+			s.yuR[base+c0:], s.yuI[base+c0:], or, oi)
 	}
 	cfloat.MergeReIm(or, oi, y[i*t.NB:i*t.NB+rows])
 }
 
-// adjointURowSoA runs the SoA adjoint phase 1 for tile row i: the row's
-// yu segment = Ucatᵢᴴ · x_i. Registered hot path — must stay
+// adjointURow runs the adjoint phase 1 for tile row i: the row's yu
+// segment = Ucatᵢᴴ · x_i. Registered hot path — must stay
 // allocation-free.
 //
 //lint:hotpath
-func (t *Matrix) adjointURowSoA(i int, l *soaLayout, xr, xi, yuR, yuI []float32) {
+func (t *Matrix) adjointURow(i int, l *soaLayout, s *mvmScratch) {
 	rows := t.tileRows(i)
-	base := t.rankOff[i*t.NT]
-	kr := t.rankOff[(i+1)*t.NT] - base
-	outR := yuR[base : base+kr]
-	outI := yuI[base : base+kr]
+	base := l.rowSeg[i*t.NT]
+	kr := l.rowSeg[(i+1)*t.NT] - base
+	outR := s.yuR[base : base+kr]
+	outI := s.yuI[base : base+kr]
 	for k := range outR {
 		outR[k] = 0
 		outI[k] = 0
 	}
-	xir := xr[i*t.NB : i*t.NB+rows]
-	xii := xi[i*t.NB : i*t.NB+rows]
-	off := l.uOff[i]
+	xir := s.xr[i*t.NB : i*t.NB+rows]
+	xii := s.xi[i*t.NB : i*t.NB+rows]
+	pr, pi := t.uPanel(i, l, s)
 	for c0 := 0; c0 < kr; c0 += l.panelCols {
 		cw := min(l.panelCols, kr-c0)
-		cfloat.GemvConjSoAAcc(rows, cw, l.ur[off+c0*rows:], l.ui[off+c0*rows:], rows,
-			xir, xii, outR[c0:], outI[c0:])
+		cfloat.GemvConjSoAAcc(rows, cw, pr[c0*rows:], pi[c0*rows:], rows, xir, xii, outR[c0:], outI[c0:])
 	}
 }
 
-// adjointVColSoA runs the SoA adjoint phase 3 for tile column j:
+// adjointVCol runs the adjoint phase 3 for tile column j:
 // y_j = Vcatⱼ · yc segment of column j, merged into y. Registered hot
 // path — must stay allocation-free.
 //
 //lint:hotpath
-func (t *Matrix) adjointVColSoA(j int, l *soaLayout, ycR, ycI, outR, outI []float32, y []complex64) {
+func (t *Matrix) adjointVCol(j int, l *soaLayout, s *mvmScratch, y []complex64) {
 	cols := t.tileCols(j)
 	base := l.colSeg[j*t.MT]
 	kc := l.colSeg[(j+1)*t.MT] - base
-	or := outR[j*t.NB : j*t.NB+cols]
-	oi := outI[j*t.NB : j*t.NB+cols]
+	or := s.outR[j*t.NB : j*t.NB+cols]
+	oi := s.outI[j*t.NB : j*t.NB+cols]
 	for k := range or {
 		or[k] = 0
 		oi[k] = 0
 	}
-	off := l.vOff[j]
+	pr, pi := t.vPanel(j, l, s)
 	for c0 := 0; c0 < kc; c0 += l.panelCols {
 		cw := min(l.panelCols, kc-c0)
-		cfloat.GemvSoAAcc(cols, cw, l.vr[off+c0*cols:], l.vi[off+c0*cols:], cols,
-			ycR[base+c0:], ycI[base+c0:], or, oi)
+		cfloat.GemvSoAAcc(cols, cw, pr[c0*cols:], pi[c0*cols:], cols,
+			s.ycR[base+c0:], s.ycI[base+c0:], or, oi)
 	}
 	cfloat.MergeReIm(or, oi, y[j*t.NB:j*t.NB+cols])
-}
-
-// normalURowSoA runs the fused middle of the normal product for tile
-// row i: z = Ucatᵢ · yu_i into the out planes, then yu_i ← Ucatᵢᴴ · z in
-// place — each cache block of the U panel is touched by both products
-// back to back while resident. Registered hot path — must stay
-// allocation-free.
-//
-//lint:hotpath
-func (t *Matrix) normalURowSoA(i int, l *soaLayout, yuR, yuI, outR, outI []float32) {
-	rows := t.tileRows(i)
-	base := t.rankOff[i*t.NT]
-	kr := t.rankOff[(i+1)*t.NT] - base
-	or := outR[i*t.NB : i*t.NB+rows]
-	oi := outI[i*t.NB : i*t.NB+rows]
-	for k := range or {
-		or[k] = 0
-		oi[k] = 0
-	}
-	seg0 := yuR[base : base+kr]
-	seg1 := yuI[base : base+kr]
-	off := l.uOff[i]
-	for c0 := 0; c0 < kr; c0 += l.panelCols {
-		cw := min(l.panelCols, kr-c0)
-		cfloat.GemvSoAAcc(rows, cw, l.ur[off+c0*rows:], l.ui[off+c0*rows:], rows,
-			seg0[c0:], seg1[c0:], or, oi)
-	}
-	// z complete; yu_i is dead, overwrite it with Ucatᵢᴴ z
-	for k := range seg0 {
-		seg0[k] = 0
-		seg1[k] = 0
-	}
-	for c0 := 0; c0 < kr; c0 += l.panelCols {
-		cw := min(l.panelCols, kr-c0)
-		cfloat.GemvConjSoAAcc(rows, cw, l.ur[off+c0*rows:], l.ui[off+c0*rows:], rows,
-			or, oi, seg0[c0:], seg1[c0:])
-	}
 }
 
 // shuffleColToRow permutes the column-stacked intermediate planes into
@@ -435,13 +356,13 @@ func (t *Matrix) normalURowSoA(i int, l *soaLayout, yuR, yuI, outR, outI []float
 // allocation-free.
 //
 //lint:hotpath
-func (t *Matrix) shuffleColToRow(l *soaLayout, srcR, srcI, dstR, dstI []float32) {
+func (t *Matrix) shuffleColToRow(l *soaLayout, s *mvmScratch) {
 	for j := 0; j < t.NT; j++ {
 		for i := 0; i < t.MT; i++ {
 			s0, s1 := l.colSeg[j*t.MT+i], l.colSeg[j*t.MT+i+1]
-			d0 := t.rankOff[i*t.NT+j]
-			copy(dstR[d0:d0+s1-s0], srcR[s0:s1])
-			copy(dstI[d0:d0+s1-s0], srcI[s0:s1])
+			d0 := l.rowSeg[i*t.NT+j]
+			copy(s.yuR[d0:d0+s1-s0], s.ycR[s0:s1])
+			copy(s.yuI[d0:d0+s1-s0], s.ycI[s0:s1])
 		}
 	}
 }
@@ -450,13 +371,13 @@ func (t *Matrix) shuffleColToRow(l *soaLayout, srcR, srcI, dstR, dstI []float32)
 // stay allocation-free.
 //
 //lint:hotpath
-func (t *Matrix) shuffleRowToCol(l *soaLayout, srcR, srcI, dstR, dstI []float32) {
+func (t *Matrix) shuffleRowToCol(l *soaLayout, s *mvmScratch) {
 	for j := 0; j < t.NT; j++ {
 		for i := 0; i < t.MT; i++ {
 			d0, d1 := l.colSeg[j*t.MT+i], l.colSeg[j*t.MT+i+1]
-			s0 := t.rankOff[i*t.NT+j]
-			copy(dstR[d0:d1], srcR[s0:s0+d1-d0])
-			copy(dstI[d0:d1], srcI[s0:s0+d1-d0])
+			s0 := l.rowSeg[i*t.NT+j]
+			copy(s.ycR[d0:d1], s.yuR[s0:s0+d1-d0])
+			copy(s.ycI[d0:d1], s.yuI[s0:s0+d1-d0])
 		}
 	}
 }

@@ -1,14 +1,15 @@
 package tlr
 
 // In-package tests for the stacked split-plane layout: the conversion is
-// a pure permutation copy, so every element must survive AoS→SoA→AoS
-// bit for bit (NaNs and signed zeros included), and the SoA products
-// must handle degenerate rank structure (zero-rank tiles) the AoS paths
-// already tolerate.
+// a pure permutation copy, so every element must survive tiles→panels
+// bit for bit (NaNs and signed zeros included), the products must handle
+// degenerate rank structure (zero-rank tiles), and a store-backed matrix
+// must assemble its panels per product instead of keeping them resident.
 
 import (
 	"math"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/dense"
@@ -69,8 +70,8 @@ func checkSoARoundTrip(t testing.TB, m *Matrix) {
 		}
 	}
 	// offset-table consistency: column- and row-stacked totals agree
-	if l.colSeg[m.MT*m.NT] != m.rankOff[m.MT*m.NT] {
-		t.Fatalf("colSeg total %d != rankOff total %d", l.colSeg[m.MT*m.NT], m.rankOff[m.MT*m.NT])
+	if l.colSeg[m.MT*m.NT] != l.rowSeg[m.MT*m.NT] {
+		t.Fatalf("colSeg total %d != rowSeg total %d", l.colSeg[m.MT*m.NT], l.rowSeg[m.MT*m.NT])
 	}
 }
 
@@ -85,60 +86,102 @@ func TestSoARoundTripCompressedShapes(t *testing.T) {
 	}
 }
 
-// TestSoAZeroRankTiles assembles a matrix by literal (the precision /
-// tlrio construction path: no Compress, no eager layout) with some tiles
-// at rank zero and checks the lazily built SoA products against the AoS
-// reference.
-func TestSoAZeroRankTiles(t *testing.T) {
-	rng := rand.New(rand.NewSource(201))
+// zeroRankMatrix assembles a matrix by literal (the precision / tlrio
+// construction path: no Compress, no eager layout) with ragged edge
+// tiles and some tiles at rank zero.
+func zeroRankMatrix(rng *rand.Rand) *Matrix {
 	const nb, mt, nt = 6, 3, 2
-	mrows, ncols := 16, 11 // ragged edge tiles
+	mrows, ncols := 16, 11
 	tiles := make([]*Tile, mt*nt)
 	for i := 0; i < mt; i++ {
 		for j := 0; j < nt; j++ {
 			rows := min((i+1)*nb, mrows) - i*nb
 			cols := min((j+1)*nb, ncols) - j*nb
 			k := (i + j) % 3 // ranks 0, 1, 2
-			u, v := dense.New(rows, k), dense.New(cols, k)
-			for idx := range u.Data {
-				u.Data[idx] = complex(float32(rng.NormFloat64()), float32(rng.NormFloat64()))
-			}
-			for idx := range v.Data {
-				v.Data[idx] = complex(float32(rng.NormFloat64()), float32(rng.NormFloat64()))
-			}
-			tiles[i*nt+j] = &Tile{U: u, V: v}
+			tiles[i*nt+j] = &Tile{U: randDense(rng, rows, k), V: randDense(rng, cols, k)}
 		}
 	}
-	m := &Matrix{M: mrows, N: ncols, NB: nb, MT: mt, NT: nt, Tiles: tiles}
-	checkSoARoundTrip(t, m)
+	return &Matrix{M: mrows, N: ncols, NB: nb, MT: mt, NT: nt, Tiles: tiles}
+}
 
-	x := make([]complex64, ncols)
-	for i := range x {
-		x[i] = complex(float32(rng.NormFloat64()), float32(rng.NormFloat64()))
-	}
-	want := make([]complex64, mrows)
-	got := make([]complex64, mrows)
-	m.MulVec(x, want)
-	m.MulVecSoA(x, got)
+// TestSoAZeroRankTiles checks the lazily laid out products of a literal
+// matrix with zero-rank tiles against the dense MVM of its
+// reconstruction, which shares no code with the kernel.
+func TestSoAZeroRankTiles(t *testing.T) {
+	rng := rand.New(rand.NewSource(201))
+	m := zeroRankMatrix(rng)
+	checkSoARoundTrip(t, m)
+	a := m.Reconstruct()
+
+	x := randDense(rng, m.N, 1).Data
+	want := make([]complex64, m.M)
+	got := make([]complex64, m.M)
+	a.MulVec(x, want)
+	m.MulVec(x, got)
 	if e := relErrC(got, want); e > 1e-5 {
-		t.Fatalf("SoA forward with zero-rank tiles: relErr %g", e)
+		t.Fatalf("forward with zero-rank tiles: relErr %g", e)
 	}
-	if err := m.MulVecBatched(x, got, 1); err != nil {
-		t.Fatal(err)
-	}
-	if e := relErrC(got, want); e > 1e-5 {
-		t.Fatalf("SoA batched with zero-rank tiles: relErr %g", e)
-	}
-	xa := make([]complex64, mrows)
-	for i := range xa {
-		xa[i] = complex(float32(rng.NormFloat64()), float32(rng.NormFloat64()))
-	}
-	wantA := make([]complex64, ncols)
-	gotA := make([]complex64, ncols)
-	m.MulVecConjTrans(xa, wantA)
-	m.MulVecConjTransSoA(xa, gotA)
+	xa := randDense(rng, m.M, 1).Data
+	wantA := make([]complex64, m.N)
+	gotA := make([]complex64, m.N)
+	a.MulVecConjTrans(xa, wantA)
+	m.MulVecConjTrans(xa, gotA)
 	if e := relErrC(gotA, wantA); e > 1e-5 {
-		t.Fatalf("SoA adjoint with zero-rank tiles: relErr %g", e)
+		t.Fatalf("adjoint with zero-rank tiles: relErr %g", e)
+	}
+}
+
+// sliceSource serves the tiles of an in-memory matrix through the
+// TileSource interface, counting loads.
+type sliceSource struct {
+	tiles []*Tile
+	loads atomic.Int64
+}
+
+func (s *sliceSource) Tile(idx int) (*Tile, error) {
+	s.loads.Add(1)
+	return s.tiles[idx], nil
+}
+
+func (s *sliceSource) Rank(idx int) int { return s.tiles[idx].Rank() }
+
+// TestOutOfCoreKeepsNoPlanes: a store-backed matrix assembles every
+// panel from its source on every product — no resident planes are ever
+// built — and its products are bit-identical to the in-memory ones.
+func TestOutOfCoreKeepsNoPlanes(t *testing.T) {
+	rng := rand.New(rand.NewSource(202))
+	for _, mem := range []*Matrix{
+		zeroRankMatrix(rng),
+		compressOrDie(t, decayMatrix(rng, 37, 29), Options{NB: 8, Tol: 1e-4}),
+	} {
+		src := &sliceSource{tiles: mem.Tiles}
+		ooc := NewOutOfCore(mem.M, mem.N, mem.NB, src)
+		x := randDense(rng, mem.N, 1).Data
+		xa := randDense(rng, mem.M, 1).Data
+		want, got := make([]complex64, mem.M), make([]complex64, mem.M)
+		wantA, gotA := make([]complex64, mem.N), make([]complex64, mem.N)
+		for rep := 0; rep < 2; rep++ {
+			before := src.loads.Load()
+			mem.MulVec(x, want)
+			ooc.MulVec(x, got)
+			mem.MulVecConjTrans(xa, wantA)
+			ooc.MulVecConjTrans(xa, gotA)
+			// each product pulls every tile twice: once for its V panel,
+			// once for its U panel
+			if loads := src.loads.Load() - before; loads != int64(4*len(mem.Tiles)) {
+				t.Fatalf("rep %d: %d tile loads for two products over %d tiles, want %d",
+					rep, loads, len(mem.Tiles), 4*len(mem.Tiles))
+			}
+			if e := relErrC(got, want); e != 0 {
+				t.Fatalf("rep %d: store-backed MulVec relErr %g, want bit-identical", rep, e)
+			}
+			if e := relErrC(gotA, wantA); e != 0 {
+				t.Fatalf("rep %d: store-backed MulVecConjTrans relErr %g, want bit-identical", rep, e)
+			}
+		}
+		if l := ooc.getSoA(); l.vr != nil || l.vi != nil || l.ur != nil || l.ui != nil {
+			t.Fatal("store-backed matrix built resident panel planes")
+		}
 	}
 }
 

@@ -7,9 +7,11 @@
 // projects from the V to the U ordering (Fig. 6), and a batched MVM over
 // the U bases (Fig. 7).
 //
-// The package provides both a sequential reference implementation and a
-// goroutine-parallel one (phase 1 parallel over tile columns, phase 3 over
-// tile rows), plus the adjoint product needed by LSQR-based inversion.
+// The package has one kernel: MulVec and its adjoint MulVecConjTrans
+// (needed by LSQR-based inversion), both sweeping the stacked
+// split-plane panels of soa.go. In-memory matrices keep those panels
+// resident; store-backed matrices (NewOutOfCore) assemble them from
+// their tiles on every product and give bit-identical results.
 package tlr
 
 import (
@@ -19,7 +21,6 @@ import (
 	"sync"
 
 	"repro/internal/aca"
-	"repro/internal/cfloat"
 	"repro/internal/dense"
 	"repro/internal/qr"
 	"repro/internal/rsvd"
@@ -87,12 +88,9 @@ type Matrix struct {
 	src   TileSource
 	ranks []int
 
-	// scratchState holds the lazily built MVM scratch free list and
-	// stacked-segment offset tables (see scratch.go).
-	scratchState
-	// soaState holds the stacked split-plane factor layout built at
-	// compress time (or lazily for matrices assembled elsewhere); see
-	// soa.go.
+	// soaState holds the stacked split-plane layout and the product
+	// scratch free list, built at compress time (or lazily for matrices
+	// assembled elsewhere); see soa.go.
 	soaState
 }
 
@@ -180,9 +178,9 @@ func Compress(a *dense.Matrix, opts Options) (*Matrix, error) {
 	default:
 	}
 	// Layout conversion at compress time: build the stacked split-plane
-	// SoA copy of the factors while they are still cache-warm, so the
-	// first SoA product pays nothing.
-	t.EnsureSoA()
+	// copy of the factors while they are still cache-warm, so the first
+	// product pays nothing.
+	t.getSoA()
 	return t, nil
 }
 
@@ -295,6 +293,9 @@ func (t *Matrix) Reconstruct() *dense.Matrix {
 	for i := 0; i < t.MT; i++ {
 		for j := 0; j < t.NT; j++ {
 			tile := t.Tile(i, j)
+			if tile.Rank() == 0 {
+				continue // the block is zero, as out already is
+			}
 			block := dense.Mul(tile.U, tile.V.ConjTranspose())
 			for jj := 0; jj < block.Cols; jj++ {
 				dst := out.Col(j*t.NB + jj)[i*t.NB : i*t.NB+block.Rows]
@@ -303,191 +304,6 @@ func (t *Matrix) Reconstruct() *dense.Matrix {
 		}
 	}
 	return out
-}
-
-// MulVec computes y = A x via the three-phase TLR-MVM, sequentially.
-// x must have length N, y length M.
-func (t *Matrix) MulVec(x, y []complex64) {
-	t.mulVec(x, y, 1)
-}
-
-// MulVecParallel computes y = A x with phases 1 and 3 parallelized over
-// tile columns and rows respectively. workers <= 0 uses GOMAXPROCS.
-func (t *Matrix) MulVecParallel(x, y []complex64, workers int) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	t.mulVec(x, y, workers)
-}
-
-func (t *Matrix) mulVec(x, y []complex64, workers int) {
-	if len(x) < t.N || len(y) < t.M {
-		panic("tlr: MulVec vector too short")
-	}
-	defer obsMVM.Start().End()
-	meterMVM(obsMVMMeter, t)
-	s := t.getScratch()
-	// Phase 1 (Fig. 5): V-batch. For each tile (i,j):
-	//   yv segment (i,j) = V_{ij}ᴴ · x_j   (length = rank of the tile)
-	// The sequential path calls the kernels directly: the parallel
-	// closures below would otherwise cost one allocation per product.
-	sp1 := obsPhase1.Start()
-	if workers <= 1 || t.NT <= 1 {
-		for j := 0; j < t.NT; j++ {
-			t.forwardVCol(j, s.yv, x)
-		}
-	} else {
-		//lint:alloc-ok parallel mode trades one closure+dispatch allocation per product for multicore phase 1
-		runIndexed(t.NT, workers, func(j int) { t.forwardVCol(j, s.yv, x) })
-	}
-	sp1.End()
-	// Phase 2 (Fig. 6): shuffle. In this in-memory implementation the
-	// shuffle is the re-indexing of yv from column-major traversal to
-	// row-major consumption — made explicit on the CS-2 mapping where it
-	// would cost fabric traffic (package wse removes it).
-	// Phase 3 (Fig. 7): U-batch. y_i = Σ_j U_{ij} · yv segment (i,j).
-	sp3 := obsPhase3.Start()
-	if workers <= 1 || t.MT <= 1 {
-		for i := 0; i < t.MT; i++ {
-			t.forwardURow(i, s.yv, y)
-		}
-	} else {
-		//lint:alloc-ok parallel mode trades one closure+dispatch allocation per product for multicore phase 3
-		runIndexed(t.MT, workers, func(i int) { t.forwardURow(i, s.yv, y) })
-	}
-	sp3.End()
-	t.putScratch(s)
-}
-
-// forwardVCol runs phase 1 for tile column j: every tile's Vᴴ·x_j
-// projection into its stacked yv segment. Registered hot path — the
-// loop must stay allocation-free.
-//
-//lint:hotpath
-func (t *Matrix) forwardVCol(j int, yv, x []complex64) {
-	xj := x[j*t.NB : j*t.NB+t.tileCols(j)]
-	for i := 0; i < t.MT; i++ {
-		idx := i*t.NT + j
-		t.tileAt(idx).V.MulVecConjTrans(xj, yv[t.rankOff[idx]:t.rankOff[idx+1]])
-	}
-}
-
-// forwardURow runs phase 3 for tile row i: y_i = Σ_j U_{ij} · yv
-// segment (i,j). Registered hot path — the loop must stay
-// allocation-free.
-//
-//lint:hotpath
-func (t *Matrix) forwardURow(i int, yv, y []complex64) {
-	yi := y[i*t.NB : i*t.NB+t.tileRows(i)]
-	for k := range yi {
-		yi[k] = 0
-	}
-	for j := 0; j < t.NT; j++ {
-		idx := i*t.NT + j
-		tile := t.tileAt(idx)
-		cfloat.Gemv(cfloat.NoTrans, tile.U.Rows, tile.U.Cols, 1,
-			tile.U.Data, tile.U.Stride, yv[t.rankOff[idx]:t.rankOff[idx+1]], 1, yi)
-	}
-}
-
-// MulVecConjTrans computes y = Aᴴ x: the adjoint TLR-MVM required by the
-// LSQR solver. Tile (i,j) ≈ U Vᴴ contributes V (Uᴴ x_i) to output block j.
-// x must have length M, y length N.
-func (t *Matrix) MulVecConjTrans(x, y []complex64) {
-	t.mulVecConjTrans(x, y, 1)
-}
-
-// MulVecConjTransParallel is the parallel adjoint product.
-func (t *Matrix) MulVecConjTransParallel(x, y []complex64, workers int) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	t.mulVecConjTrans(x, y, workers)
-}
-
-func (t *Matrix) mulVecConjTrans(x, y []complex64, workers int) {
-	if len(x) < t.M || len(y) < t.N {
-		panic("tlr: MulVecConjTrans vector too short")
-	}
-	defer obsAdjoint.Start().End()
-	meterMVM(obsAdjMeter, t)
-	s := t.getScratch()
-	// adjoint phase 1: yu segment (i,j) = U_{ij}ᴴ · x_i
-	if workers <= 1 || t.MT <= 1 {
-		for i := 0; i < t.MT; i++ {
-			t.adjointURow(i, s.yv, x)
-		}
-	} else {
-		//lint:alloc-ok parallel mode trades one closure+dispatch allocation per product for multicore adjoint phase 1
-		runIndexed(t.MT, workers, func(i int) { t.adjointURow(i, s.yv, x) })
-	}
-	// adjoint phase 3: y_j = Σ_i V_{ij} · yu segment (i,j)
-	if workers <= 1 || t.NT <= 1 {
-		for j := 0; j < t.NT; j++ {
-			t.adjointVCol(j, s.yv, y)
-		}
-	} else {
-		//lint:alloc-ok parallel mode trades one closure+dispatch allocation per product for multicore adjoint phase 3
-		runIndexed(t.NT, workers, func(j int) { t.adjointVCol(j, s.yv, y) })
-	}
-	t.putScratch(s)
-}
-
-// adjointURow runs the adjoint phase 1 for tile row i: every tile's
-// Uᴴ·x_i projection into its stacked yu segment. Registered hot path —
-// the loop must stay allocation-free.
-//
-//lint:hotpath
-func (t *Matrix) adjointURow(i int, yu, x []complex64) {
-	xi := x[i*t.NB : i*t.NB+t.tileRows(i)]
-	for j := 0; j < t.NT; j++ {
-		idx := i*t.NT + j
-		t.tileAt(idx).U.MulVecConjTrans(xi, yu[t.rankOff[idx]:t.rankOff[idx+1]])
-	}
-}
-
-// adjointVCol runs the adjoint phase 3 for tile column j:
-// y_j = Σ_i V_{ij} · yu segment (i,j). Registered hot path — the loop
-// must stay allocation-free.
-//
-//lint:hotpath
-func (t *Matrix) adjointVCol(j int, yu, y []complex64) {
-	yj := y[j*t.NB : j*t.NB+t.tileCols(j)]
-	for k := range yj {
-		yj[k] = 0
-	}
-	for i := 0; i < t.MT; i++ {
-		idx := i*t.NT + j
-		tile := t.tileAt(idx)
-		cfloat.Gemv(cfloat.NoTrans, tile.V.Rows, tile.V.Cols, 1,
-			tile.V.Data, tile.V.Stride, yu[t.rankOff[idx]:t.rankOff[idx+1]], 1, yj)
-	}
-}
-
-// runIndexed executes f(0..n-1), optionally across workers goroutines.
-func runIndexed(n, workers int, f func(int)) {
-	if workers <= 1 || n <= 1 {
-		for i := 0; i < n; i++ {
-			f(i)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	idx := make(chan int, n)
-	for i := 0; i < n; i++ {
-		idx <- i
-	}
-	close(idx)
-	for w := 0; w < min(workers, n); w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				f(i)
-			}
-		}()
-	}
-	wg.Wait()
 }
 
 // ColumnStackedSizes returns, for each tile column j, the total stacked V

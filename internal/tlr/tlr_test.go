@@ -84,26 +84,6 @@ func TestMulVecMatchesDense(t *testing.T) {
 	}
 }
 
-func TestMulVecParallelMatchesSequential(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	a := decayMatrix(rng, 128, 96)
-	tm := compressOrDie(t, a, Options{NB: 16, Tol: 1e-4})
-	x := dense.Random(rng, 96, 1).Data
-	ys := make([]complex64, 128)
-	tm.MulVec(x, ys)
-	yp := make([]complex64, 128)
-	tm.MulVecParallel(x, yp, 4)
-	for i := range ys {
-		if ys[i] != yp[i] {
-			// parallel phase order can reorder additions; allow tiny drift
-			d := ys[i] - yp[i]
-			if math.Hypot(float64(real(d)), float64(imag(d))) > 1e-4 {
-				t.Fatalf("parallel mismatch at %d: %v vs %v", i, ys[i], yp[i])
-			}
-		}
-	}
-}
-
 func TestMulVecConjTransMatchesDense(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	a := decayMatrix(rng, 80, 60)
@@ -332,19 +312,6 @@ func BenchmarkTLRMVMSeq256(b *testing.B) {
 	}
 }
 
-func BenchmarkTLRMVMParallel256(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	a := decayMatrix(rng, 256, 256)
-	tm, _ := Compress(a, Options{NB: 32, Tol: 1e-4})
-	x := dense.Random(rng, 256, 1).Data
-	y := make([]complex64, 256)
-	b.SetBytes(tm.CompressedBytes())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tm.MulVecParallel(x, y, 0)
-	}
-}
-
 func BenchmarkDenseMVM256(b *testing.B) {
 	// baseline the TLR-MVM is compared against (Fig. 2 vs Figs. 5-7)
 	rng := rand.New(rand.NewSource(1))
@@ -364,42 +331,5 @@ func BenchmarkCompressNB16(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_, _ = Compress(a, Options{NB: 16, Tol: 1e-4})
-	}
-}
-
-func TestMulVecBatchedMatchesReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	for _, dims := range [][2]int{{64, 64}, {53, 47}, {100, 70}} {
-		a := decayMatrix(rng, dims[0], dims[1])
-		tm := compressOrDie(t, a, Options{NB: 16, Tol: 1e-4})
-		x := dense.Random(rng, dims[1], 1).Data
-		yRef := make([]complex64, dims[0])
-		tm.MulVec(x, yRef)
-		yBat := make([]complex64, dims[0])
-		if err := tm.MulVecBatched(x, yBat, 4); err != nil {
-			t.Fatal(err)
-		}
-		diff := make([]complex64, dims[0])
-		for i := range diff {
-			diff[i] = yBat[i] - yRef[i]
-		}
-		if rel := cfloat.Nrm2(diff) / (1 + cfloat.Nrm2(yRef)); rel > 1e-5 {
-			t.Errorf("%v: batched path error %g", dims, rel)
-		}
-	}
-}
-
-func BenchmarkTLRMVMBatched256(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	a := decayMatrix(rng, 256, 256)
-	tm, _ := Compress(a, Options{NB: 32, Tol: 1e-4})
-	x := dense.Random(rng, 256, 1).Data
-	y := make([]complex64, 256)
-	b.SetBytes(tm.CompressedBytes())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := tm.MulVecBatched(x, y, 0); err != nil {
-			b.Fatal(err)
-		}
 	}
 }

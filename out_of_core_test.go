@@ -87,17 +87,6 @@ func TestOutOfCoreStoreMatchesInMemory(t *testing.T) {
 		if e := testkit.RelErr(gotAdj, wantAdj); e > 1e-6 {
 			t.Errorf("freq %d MulVecConjTrans: store-backed rel err %g > 1e-6", f, e)
 		}
-		tm.MulVecSoA(x, want)
-		ooc.MulVecSoA(x, got)
-		if e := testkit.RelErr(got, want); e > 1e-6 {
-			t.Errorf("freq %d MulVecSoA: store-backed rel err %g > 1e-6", f, e)
-		}
-		if err := ooc.MulVecBatched(x, got, 2); err != nil {
-			t.Fatal(err)
-		}
-		if e := testkit.RelErr(got, want); e > testkit.ExecTolerance(tm.N) {
-			t.Errorf("freq %d MulVecBatched: store-backed rel err %g", f, e)
-		}
 	}
 	stats := st.Stats()
 	if stats.Hits == 0 || stats.Misses == 0 || stats.Evictions == 0 {
