@@ -32,6 +32,8 @@ vet:
 test:
 	$(GO) test ./...
 
+# data races are left to the race detector; CI also runs the separate
+# perfbench module's tests under it: (cd perfbench && go test -race .)
 race:
 	$(GO) test -race -shuffle=on ./...
 

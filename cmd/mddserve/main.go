@@ -62,6 +62,26 @@ func validateConfig(cfg mddserve.Config) error {
 	return nil
 }
 
+// Connection deadlines of the HTTP server. A client must finish its
+// request headers within readHeaderTimeout, and an idle keep-alive
+// connection is closed after idleTimeout, so stalled or abandoned
+// connections cannot pin goroutines and file descriptors. There is no
+// write timeout: the NDJSON event stream stays open for a whole job.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer wraps the service handler in an http.Server carrying the
+// connection deadlines above.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+}
+
 func main() {
 	addr := flag.String("addr", ":8700", "listen address")
 	workers := flag.Int("workers", 2, "worker goroutines (each owns a shard runner)")
@@ -109,7 +129,7 @@ func main() {
 	if err != nil {
 		log.Fatalf("mddserve: listen %s: %v", *addr, err)
 	}
-	httpSrv := &http.Server{Handler: srv.Handler()}
+	httpSrv := newHTTPServer(srv.Handler())
 	log.Printf("mddserve: serving on %s (%d workers x %d shards, queue %d, tenant inflight %d)",
 		ln.Addr(), *workers, *shards, *queue, *tenantInflight)
 

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"net/http"
 	"strings"
 	"testing"
 
@@ -61,5 +62,21 @@ func TestValidateConfig(t *testing.T) {
 				t.Fatalf("validateConfig error %q does not name the offending flag %s", err, tc.wantErr)
 			}
 		})
+	}
+}
+
+// TestHTTPServerDeadlines pins the listener's connection deadlines: a
+// bounded wait for request headers and for idle keep-alives, and no
+// write deadline, which would cut long-lived NDJSON event streams.
+func TestHTTPServerDeadlines(t *testing.T) {
+	srv := newHTTPServer(http.NotFoundHandler())
+	if srv.ReadHeaderTimeout != readHeaderTimeout || srv.ReadHeaderTimeout <= 0 {
+		t.Errorf("ReadHeaderTimeout = %v, want %v", srv.ReadHeaderTimeout, readHeaderTimeout)
+	}
+	if srv.IdleTimeout != idleTimeout || srv.IdleTimeout <= 0 {
+		t.Errorf("IdleTimeout = %v, want %v", srv.IdleTimeout, idleTimeout)
+	}
+	if srv.WriteTimeout != 0 {
+		t.Errorf("WriteTimeout = %v, want unset so event streams can outlive it", srv.WriteTimeout)
 	}
 }

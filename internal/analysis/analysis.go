@@ -1,6 +1,6 @@
 // Package analysis is the repo's domain-invariant static analysis suite:
 // a small, dependency-free framework in the shape of golang.org/x/tools'
-// go/analysis, plus thirteen analyzers that turn this repo's correctness
+// go/analysis, plus ten analyzers that turn this repo's correctness
 // conventions into compiler-checked rules. The conventions exist because
 // the continuous-benchmarking gate (internal/benchreport) and the
 // §6.5–§6.7 cycle/meter invariants treat the machine-model outputs as
@@ -16,13 +16,14 @@
 // layer (callgraph.go/summary.go): an intra-module call graph over
 // go/types with single-assignment devirtualization and a bottom-up
 // function-summary fixpoint engine. It powers allocfree's transitive
-// mode (a hot path is clean only if everything it reaches is), the
-// goleak goroutine-termination analyzer, and the reqtaint
-// untrusted-size-flow analyzer. A goroutine-escape layer (escape.go)
-// sits on the same call graph and feeds the two concurrency analyzers:
-// racecheck, a lockset-based static race detector, and ctxflow, which
-// requires blocking operations in the serving/batch/fault stacks to be
-// cancellable.
+// mode (a hot path is clean only if everything it reaches is) and
+// ctxflow, which requires blocking operations in the serving/batch/fault
+// stacks to be cancellable.
+//
+// Properties a runtime check already guards are left to it: data races
+// to `go test -race`, goroutine leaks to the internal/testkit/leak
+// assertion, and request-decoded sizes to mddserve's admission checks
+// and their extremes table test.
 //
 // The analyzers (see their files for the precise rules):
 //
@@ -49,14 +50,9 @@
 //     (internal/mddserve, internal/mddclient, cmd/mddserve), examples/,
 //     or the module-root integration/stress suites
 //     (escape: //lint:lock-ok).
-//   - goleak: every go statement in non-test code must have a provable
-//     termination path — a reachable function exit on the goroutine
-//     body's CFG, with diverging callees (for{} loops, empty selects)
-//     cutting paths via call-graph summaries (escape: //lint:goleak-ok).
-//   - reqtaint: values decoded from HTTP request JSON (or parsed from
-//     request queries) in internal/mddserve must not size allocations,
-//     bound loops, or index slices without an intervening bounds check
-//     (escape: //lint:taint-ok).
+//   - ctxflow: blocking operations in internal/mddserve,
+//     internal/mddclient, internal/batch, and internal/fault must be
+//     cancellable or bounded (escape: //lint:ctx-ok).
 //   - lintlint: directive hygiene — unknown/misspelled //lint:
 //     directives and stale escapes that no longer suppress anything.
 //
@@ -175,9 +171,6 @@ func All() []*Analyzer {
 		AllocFree,
 		FaultFlow,
 		LockOrder,
-		GoLeak,
-		ReqTaint,
-		RaceCheck,
 		CtxFlow,
 		LintLint,
 	}
@@ -358,9 +351,6 @@ var knownDirectives = map[string]directiveInfo{
 	"lock-ok":       {directiveEscape, "lockorder"},
 	"widen-ok":      {directiveEscape, "precwiden"},
 	"oracle-exempt": {directiveEscape, "oraclereg"},
-	"goleak-ok":     {directiveEscape, "goleak"},
-	"taint-ok":      {directiveEscape, "reqtaint"},
-	"race-ok":       {directiveEscape, "racecheck"},
 	"ctx-ok":        {directiveEscape, "ctxflow"},
 }
 

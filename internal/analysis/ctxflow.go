@@ -43,9 +43,10 @@ import (
 // cancellation point on every entry→exit path — calling it with your
 // ctx is itself a check) and MayBlock (the function contains an
 // unmitigated, unescaped blocking operation — calling it inherits the
-// block). Range over a channel passes (close-to-cancel hand-off, the
-// goleak-verified termination idiom), as do sync.WaitGroup.Wait and
-// mutex acquisition (bounded by goleak/lockorder's disciplines).
+// block). Range over a channel passes (close-to-cancel hand-off), as do
+// sync.WaitGroup.Wait (goroutine exit is checked at runtime by the
+// leak assertion in internal/testkit/leak) and mutex acquisition
+// (bounded by lockorder's discipline).
 // Escape: //lint:ctx-ok <reason>.
 var CtxFlow = &Analyzer{
 	Name: "ctxflow",

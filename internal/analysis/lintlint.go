@@ -143,9 +143,8 @@ func lintCandidates(pass *Pass, owner string) map[fileLine]bool {
 	if a.NeedsModule && pass.Module == nil {
 		return nil
 	}
-	if pass.TestVariant && (owner == GoLeak.Name || owner == ReqTaint.Name ||
-		owner == RaceCheck.Name || owner == CtxFlow.Name) {
-		return nil // these skip test-variant passes; nothing to compare against
+	if pass.TestVariant && owner == CtxFlow.Name {
+		return nil // ctxflow skips test-variant passes; nothing to compare against
 	}
 	var tmp []Diagnostic
 	sub := &Pass{

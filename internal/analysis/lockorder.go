@@ -101,8 +101,7 @@ func checkLockOrder(pass *Pass, fn *ast.FuncDecl, okLines map[int]bool) {
 // lockFixpoint computes the may-held lock set entering each block: a
 // forward fixpoint where in[b] is the union of predecessors' outs (a
 // lock held on any incoming path counts as held). Entry blocks of
-// unreachable regions stay nil. Shared with racecheck, whose lockset
-// discipline must agree with lockorder's exactly.
+// unreachable regions stay nil.
 func lockFixpoint(info *types.Info, cfg *CFG) []lockSet {
 	in := make([]lockSet, len(cfg.Blocks))
 	in[cfg.Entry.Index] = lockSet{}

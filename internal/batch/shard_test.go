@@ -7,6 +7,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/testkit/leak"
 )
 
 func noSleep(time.Duration) {}
@@ -42,6 +44,7 @@ func checkAllDone(t *testing.T, tasks []ShardTask) {
 }
 
 func TestShardRunnerHappyPath(t *testing.T) {
+	leak.Check(t)
 	r, err := NewShardRunner(ShardOptions{Shards: 4, Sleep: noSleep})
 	if err != nil {
 		t.Fatal(err)
@@ -92,6 +95,7 @@ func TestShardRunnerTransientRetry(t *testing.T) {
 }
 
 func TestShardRunnerDeathAndFailover(t *testing.T) {
+	leak.Check(t)
 	r, err := NewShardRunner(ShardOptions{Shards: 3, Sleep: noSleep, DeathAfter: 2, MaxAttempts: 6})
 	if err != nil {
 		t.Fatal(err)
@@ -116,6 +120,7 @@ func TestShardRunnerDeathAndFailover(t *testing.T) {
 }
 
 func TestShardRunnerMaxAttemptsFatal(t *testing.T) {
+	leak.Check(t)
 	r, err := NewShardRunner(ShardOptions{Shards: 2, Sleep: noSleep, MaxAttempts: 3, DeathAfter: 10})
 	if err != nil {
 		t.Fatal(err)
@@ -134,6 +139,7 @@ func TestShardRunnerMaxAttemptsFatal(t *testing.T) {
 }
 
 func TestShardRunnerAllDeadFatal(t *testing.T) {
+	leak.Check(t)
 	r, err := NewShardRunner(ShardOptions{Shards: 2, Sleep: noSleep, DeathAfter: 1, MaxAttempts: 20})
 	if err != nil {
 		t.Fatal(err)
@@ -219,6 +225,7 @@ func TestShardRunnerNoValidateLetsNaNThrough(t *testing.T) {
 }
 
 func TestShardRunnerRejectsConcurrentRun(t *testing.T) {
+	leak.Check(t)
 	r, err := NewShardRunner(ShardOptions{Shards: 1, Sleep: noSleep})
 	if err != nil {
 		t.Fatal(err)

@@ -189,8 +189,10 @@ func (s *JobSpec) Validate() error {
 	if s.NB < 0 || s.Tol < 0 || s.Iters < 0 || s.Reps < 0 {
 		return fmt.Errorf("nb, tol, iters, and reps must be non-negative")
 	}
-	if s.Type == JobMDD && (s.VS < 0 || s.VS >= d.Receivers()) {
-		return fmt.Errorf("virtual source %d outside [0,%d)", s.VS, d.Receivers())
+	// VS ≥ NrX·NrY compared by division: the product of two decoded
+	// dimensions can wrap before the size caps have bounded them.
+	if s.Type == JobMDD && (s.VS < 0 || s.VS/d.NrY >= d.NrX) {
+		return fmt.Errorf("virtual source %d outside the %dx%d receiver grid", s.VS, d.NrX, d.NrY)
 	}
 	return nil
 }

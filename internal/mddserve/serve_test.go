@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/mdc"
+	"repro/internal/testkit/leak"
 )
 
 func testSpec(typ JobType) JobSpec {
@@ -99,6 +100,7 @@ func TestSizeCaps(t *testing.T) {
 }
 
 func TestSubmitAppliesDefaults(t *testing.T) {
+	leak.Check(t)
 	s := New(testConfig())
 	defer s.Close()
 	s.Pause()
@@ -120,6 +122,7 @@ func TestSubmitAppliesDefaults(t *testing.T) {
 }
 
 func TestCancelQueuedVsWorkerCAS(t *testing.T) {
+	leak.Check(t)
 	s := New(testConfig())
 	defer s.Close()
 	s.Pause()
@@ -156,6 +159,7 @@ func TestCancelQueuedVsWorkerCAS(t *testing.T) {
 }
 
 func TestAdmissionRejectsAreDeterministic(t *testing.T) {
+	leak.Check(t)
 	cfg := testConfig()
 	cfg.QueueSize = 2
 	cfg.PerTenantInflight = 2
@@ -188,6 +192,7 @@ func TestAdmissionRejectsAreDeterministic(t *testing.T) {
 }
 
 func TestClosedServerRejectsSubmit(t *testing.T) {
+	leak.Check(t)
 	s := New(testConfig())
 	s.Close()
 	_, err := s.Submit(testSpec(JobCompress), "t")
@@ -198,6 +203,7 @@ func TestClosedServerRejectsSubmit(t *testing.T) {
 }
 
 func TestDatasetCacheBuildsOnce(t *testing.T) {
+	leak.Check(t)
 	s := New(testConfig())
 	defer s.Close()
 	ids := make([]string, 0, 3)
@@ -254,6 +260,7 @@ func TestJobTransitionCAS(t *testing.T) {
 // bit-identically, so results must match exactly while the store-backed
 // build faults its kernel tiles from the temp-dir page file.
 func TestStoreDirServesFromDisk(t *testing.T) {
+	leak.Check(t)
 	spec := testSpec(JobMDD)
 	spec.Iters = 5
 

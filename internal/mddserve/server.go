@@ -133,15 +133,21 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// validateSize applies the admission size caps to a structurally valid
-// spec; a non-nil error means 413.
+// validateSize applies the admission size caps to a spec Validate
+// accepted (every grid dimension >= 2); a non-nil error means 413. Grid
+// products are compared by division, never multiplied out: two decoded
+// factors past the cap could wrap their product back under it.
 func (c Config) validateSize(s *JobSpec) error {
 	d := s.Dataset
-	if d.Sources() > c.MaxSources {
-		return fmt.Errorf("%d sources exceeds the %d-source cap", d.Sources(), c.MaxSources)
+	if d.NsX > c.MaxSources/d.NsY {
+		return fmt.Errorf("%dx%d source grid exceeds the %d-source cap", d.NsX, d.NsY, c.MaxSources)
 	}
-	if d.Receivers() > c.MaxReceivers {
-		return fmt.Errorf("%d receivers exceeds the %d-receiver cap", d.Receivers(), c.MaxReceivers)
+	if d.NrX > c.MaxReceivers/d.NrY {
+		return fmt.Errorf("%dx%d receiver grid exceeds the %d-receiver cap", d.NrX, d.NrY, c.MaxReceivers)
+	}
+	// A tile larger than every admissible matrix dimension is one tile.
+	if maxDim := max(c.MaxSources, c.MaxReceivers); s.NB > maxDim {
+		return fmt.Errorf("tile size %d exceeds the %d-point grid cap", s.NB, maxDim)
 	}
 	if d.Nt > c.MaxNt {
 		return fmt.Errorf("nt %d exceeds the %d-sample cap", d.Nt, c.MaxNt)

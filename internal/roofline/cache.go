@@ -50,7 +50,12 @@ func (c Cache) GemvPanelCols(rows, elemBytes int) int {
 	if budget <= 0 {
 		budget = DefaultCache().L2 / 2
 	}
-	cols := budget / (rows * elemBytes)
+	// rows*elemBytes > budget means a panel narrower than one column;
+	// testing it by division keeps a huge rows from wrapping the product.
+	cols := 0
+	if rows <= budget/elemBytes {
+		cols = budget / (rows * elemBytes)
+	}
 	// A panel wider than 4096 columns stops paying for itself: the
 	// vectors it shares the cache with are tiny by comparison.
 	return clampPanel(cols, 4096, 4)

@@ -21,6 +21,8 @@ func TestGemvPanelCols(t *testing.T) {
 		{70, 8, func(cols int) bool { return cols >= 4 && cols%4 == 0 && cols*70*8 <= c.L2 }},
 		// very long columns: degrade to the unroll width, never zero
 		{1 << 20, 8, func(cols int) bool { return cols == 4 }},
+		// columns so long that rows*elemBytes wraps to zero
+		{1 << 61, 8, func(cols int) bool { return cols == 4 }},
 	}
 	for _, tc := range cases {
 		cols := c.GemvPanelCols(tc.rows, tc.elemBytes)

@@ -30,8 +30,7 @@ type TileSource interface {
 // panel from the source into a buffer sized to the largest panel, so
 // the resident working set is whatever the source caches.
 func NewOutOfCore(m, n, nb int, src TileSource) *Matrix {
-	mt := (m + nb - 1) / nb
-	nt := (n + nb - 1) / nb
+	mt, nt := tileCount(m, nb), tileCount(n, nb)
 	// Snapshot every tile rank up front: rank queries back offset tables
 	// and byte metering inside the allocation-free kernels, so they must
 	// stay a plain slice index rather than a dynamic source call.

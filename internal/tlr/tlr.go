@@ -128,8 +128,7 @@ func Compress(a *dense.Matrix, opts Options) (*Matrix, error) {
 	}
 	defer obsCompress.Start().End()
 	m, n, nb := a.Rows, a.Cols, opts.NB
-	mt := (m + nb - 1) / nb
-	nt := (n + nb - 1) / nb
+	mt, nt := tileCount(m, nb), tileCount(n, nb)
 	t := &Matrix{M: m, N: n, NB: nb, MT: mt, NT: nt, Tiles: make([]*Tile, mt*nt)}
 	workers := opts.Workers
 	if workers <= 0 {
@@ -224,6 +223,15 @@ func compressTile(block *dense.Matrix, opts Options, rng *rand.Rand) (*Tile, err
 // Tile returns tile (i, j), faulting it in from the tile source for
 // out-of-core matrices.
 func (t *Matrix) Tile(i, j int) *Tile { return t.tileAt(i*t.NT + j) }
+
+// tileCount is ⌈n/nb⌉ written so that it cannot overflow: the textbook
+// (n+nb-1)/nb wraps to zero tiles for an nb near math.MaxInt.
+func tileCount(n, nb int) int {
+	if n <= 0 {
+		return 0
+	}
+	return (n-1)/nb + 1
+}
 
 // tileRows returns the row extent of tile row i.
 func (t *Matrix) tileRows(i int) int { return min((i+1)*t.NB, t.M) - i*t.NB }

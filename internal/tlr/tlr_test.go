@@ -333,3 +333,32 @@ func BenchmarkCompressNB16(b *testing.B) {
 		_, _ = Compress(a, Options{NB: 16, Tol: 1e-4})
 	}
 }
+
+// TestCompressHugeTileSize: an nb past every dimension gives a single
+// tile whose products match the dense ones, in memory and store-backed.
+// At math.MaxInt the textbook ceiling (m+nb-1)/nb wraps to zero tiles;
+// at 2^61 and 2^62 the panel-width product nb·8 bytes wraps to zero.
+func TestCompressHugeTileSize(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	a := randDense(rng, 6, 5)
+	x := randDense(rng, 5, 1).Data
+	want := make([]complex64, 6)
+	a.MulVec(x, want)
+	for _, nb := range []int{1 << 61, 1 << 62, math.MaxInt} {
+		tm := compressOrDie(t, a, Options{NB: nb, Tol: 1e-6})
+		if tm.MT != 1 || tm.NT != 1 || len(tm.Tiles) != 1 {
+			t.Fatalf("nb=%d gave a %dx%d tile grid with %d tiles, want one tile", nb, tm.MT, tm.NT, len(tm.Tiles))
+		}
+		ooc := NewOutOfCore(tm.M, tm.N, tm.NB, &sliceSource{tiles: tm.Tiles})
+		if ooc.MT != 1 || ooc.NT != 1 {
+			t.Fatalf("store-backed nb=%d gave a %dx%d tile grid, want 1x1", nb, ooc.MT, ooc.NT)
+		}
+		for name, m := range map[string]*Matrix{"in-memory": tm, "store-backed": ooc} {
+			got := make([]complex64, 6)
+			m.MulVec(x, got)
+			if e := relErrC(got, want); e > 1e-5 {
+				t.Errorf("nb=%d: %s MulVec relErr %g against the dense product", nb, name, e)
+			}
+		}
+	}
+}
